@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.optimize import least_squares, minimize_scalar
 from scipy.stats import chi2, poisson
 
@@ -197,15 +198,64 @@ def _check_effective(model: ShotModel):
         raise AnalysisError("exact distributions support only effective-mode models")
 
 
+def _pad(poly: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of a count polynomial, zero-padded."""
+    out = np.zeros(n)
+    out[:min(n, len(poly))] = poly[:n]
+    return out
+
+
+def _cycle_power(kb: np.ndarray, kd: np.ndarray, f_up: float, f_dn: float,
+                 cycles: int, lmax: int) -> list:
+    """Count polynomials of ``cycles`` readout cycles by repeated squaring.
+
+    Entry [to][from] (state 0 bright, 1 dark) of the one-cycle operator is
+    "flip or stay, then the new state's Poisson kernel", so its n-th power
+    is the forward recursion of the two-state hidden Markov model over n
+    cycles.  Every product is truncated at ``lmax`` coefficients, which
+    leaves those coefficients exact because counts never decrease.
+    """
+    def mul(x, y):
+        out = [[None, None], [None, None]]
+        for i in (0, 1):
+            for j in (0, 1):
+                a = np.convolve(x[i][0], y[0][j])[:lmax]
+                b = np.convolve(x[i][1], y[1][j])[:lmax]
+                if len(a) < len(b):
+                    a, b = b, a
+                a[:len(b)] += b
+                out[i][j] = a
+        return out
+
+    step = [[(1 - f_up) * kb[:lmax], f_dn * kb[:lmax]],
+            [f_up * kd[:lmax], (1 - f_dn) * kd[:lmax]]]
+    power = [[np.ones(1), np.zeros(1)], [np.zeros(1), np.ones(1)]]
+    while cycles:
+        if cycles & 1:
+            power = mul(step, power)
+        cycles >>= 1
+        if cycles:
+            step = mul(step, step)
+    return power
+
+
+def _from_state(power: list, start: int, n: int) -> np.ndarray:
+    """PMF of the counts from ``start``, summed over the final state."""
+    return _pad(power[0][start], n) + _pad(power[1][start], n)
+
+
 def exact_count_pmf(model: ShotModel, cycles: int, prepared: Nuclear,
                     dual: bool = False) -> np.ndarray:
     """Exact PMF of the read-1 total for the effective model.
 
-    Dynamic program over (cycle, nuclear state): each cycle first mixes the
-    state by the flip probabilities, then convolves the state-matched
-    Poisson emission kernel.  Initialization and charge errors enter as a
-    mixture.  ``dual`` selects the dual protocol's flip behaviour (both
-    states cycled); the returned marginal is still read 1.
+    Forward recursion over (cycle, nuclear state): each cycle first mixes
+    the state by the flip probabilities, then convolves the state-matched
+    Poisson emission kernel.  The cycle is one 2x2 matrix of count
+    polynomials, applied ``cycles`` times by repeated squaring with every
+    product truncated at the support length: O(L^2 log cycles) time and
+    O(L) memory.  Initialization and charge errors enter as a mixture.
+    ``dual`` selects the dual protocol's flip behaviour (both states
+    cycled); the returned marginal is still read 1.
     """
     _check_effective(model)
     lmax = _pmf_length(model, cycles)
@@ -215,23 +265,11 @@ def exact_count_pmf(model: ShotModel, cycles: int, prepared: Nuclear,
     f_up = f_cycled                       # up state always cycles
     f_dn = f_cycled if dual else f_idle
 
-    def trajectory(start_bright: bool) -> np.ndarray:
-        pb = np.zeros(lmax)
-        pd = np.zeros(lmax)
-        (pb if start_bright else pd)[0] = 1.0
-        for _ in range(cycles):
-            pb, pd = ((1 - f_up) * pb + f_dn * pd,
-                      (1 - f_dn) * pd + f_up * pb)
-            pb = np.convolve(pb, kb)[:lmax]
-            pd = np.convolve(pd, kd)[:lmax]
-        return pb + pd
-
-    start_bright = prepared is Nuclear.UP
-    p_good = trajectory(start_bright)
-    p_inverted = trajectory(not start_bright)
-    kc = _poisson_kernel(model.lambda_dark * cycles)
-    p_charge = np.zeros(lmax)
-    p_charge[:min(lmax, len(kc))] = kc[:lmax]
+    power = _cycle_power(kb, kd, f_up, f_dn, cycles, lmax)
+    start = 0 if prepared is Nuclear.UP else 1
+    p_good = _from_state(power, start, lmax)
+    p_inverted = _from_state(power, 1 - start, lmax)
+    p_charge = _pad(_poisson_kernel(model.lambda_dark * cycles), lmax)
 
     e, c = model.nuclear_init_error, model.charge_error
     pmf = ((1 - c) * (1 - e) * p_good + (1 - c) * e * p_inverted + c * p_charge)
@@ -241,23 +279,15 @@ def exact_count_pmf(model: ShotModel, cycles: int, prepared: Nuclear,
     return pmf
 
 
-def _conv_axis(arr: np.ndarray, kern: np.ndarray, axis: int) -> np.ndarray:
-    out = np.zeros_like(arr)
-    n = arr.shape[axis]
-    for i, kv in enumerate(kern):
-        if i >= n:
-            break
-        if axis == 0:
-            out[i:, :] += kv * arr[:n - i, :]
-        else:
-            out[:, i:] += kv * arr[:, :n - i]
-    return out
-
-
 def exact_head_tail_pmf(model: ShotModel, cycles: int, window: int,
                         prepared: Nuclear) -> np.ndarray:
     """Joint PMF over (photons in cycles 1..window, photons after) for the
-    single-read protocol; drives exact conditional post-selection rates."""
+    single-read protocol; drives exact conditional post-selection rates.
+
+    The tail depends on the head only through the nuclear state at the
+    window boundary, so the joint PMF is the sum over that state of the
+    outer product of head and tail count PMFs.
+    """
     _check_effective(model)
     if not 1 <= window <= cycles:
         raise AnalysisError("window must lie in [1, cycles]")
@@ -266,27 +296,20 @@ def exact_head_tail_pmf(model: ShotModel, cycles: int, window: int,
     kb = _poisson_kernel(model.lambda_bright)
     kd = _poisson_kernel(model.lambda_dark)
     f_up, f_dn = model.flip_bd, model.flip_db
+    head = _cycle_power(kb, kd, f_up, f_dn, window, hmax)
+    tail = _cycle_power(kb, kd, f_up, f_dn, cycles - window, tmax)
+    tail_from = [_from_state(tail, s, tmax) for s in (0, 1)]
 
-    def trajectory(start_bright: bool) -> np.ndarray:
-        jb = np.zeros((hmax, tmax))
-        jd = np.zeros((hmax, tmax))
-        (jb if start_bright else jd)[0, 0] = 1.0
-        for cyc in range(cycles):
-            jb, jd = ((1 - f_up) * jb + f_dn * jd,
-                      (1 - f_dn) * jd + f_up * jb)
-            axis = 0 if cyc < window else 1
-            jb = _conv_axis(jb, kb, axis)
-            jd = _conv_axis(jd, kd, axis)
-        return jb + jd
+    def trajectory(start: int) -> np.ndarray:
+        return sum(np.outer(_pad(head[s][start], hmax), tail_from[s])
+                   for s in (0, 1))
 
-    start_bright = prepared is Nuclear.UP
-    j_good = trajectory(start_bright)
-    j_inverted = trajectory(not start_bright)
-    kh = _poisson_kernel(model.lambda_dark * window)
-    kt = _poisson_kernel(model.lambda_dark * (cycles - window))
+    start = 0 if prepared is Nuclear.UP else 1
+    j_good = trajectory(start)
+    j_inverted = trajectory(1 - start)
     j_charge = np.outer(
-        np.pad(kh, (0, max(0, hmax - len(kh))))[:hmax],
-        np.pad(kt, (0, max(0, tmax - len(kt))))[:tmax])
+        _pad(_poisson_kernel(model.lambda_dark * window), hmax),
+        _pad(_poisson_kernel(model.lambda_dark * (cycles - window)), tmax))
 
     e, c = model.nuclear_init_error, model.charge_error
     joint = ((1 - c) * (1 - e) * j_good + (1 - c) * e * j_inverted
@@ -297,28 +320,31 @@ def exact_head_tail_pmf(model: ShotModel, cycles: int, window: int,
 
 
 def exact_dual_pmf(model: ShotModel, cycles: int, prepared: Nuclear) -> np.ndarray:
-    """Joint PMF over (total_read1, total_read2) for the dual protocol."""
+    """Joint PMF over (total_read1, total_read2) for the dual protocol.
+
+    Each cycle mixes the nuclear state, then applies the two reads'
+    emissions to the joint count matrix J as Kb @ J @ Kd.T (bright state)
+    or Kd @ J @ Kb.T (dark state), with K the lower-triangular Toeplitz
+    matrix of a Poisson kernel.
+    """
     _check_effective(model)
     m1 = _pmf_length(model, cycles)
-    kb = _poisson_kernel(model.lambda_bright)
-    kd = _poisson_kernel(model.lambda_dark)
+    tb = toeplitz(_pad(_poisson_kernel(model.lambda_bright), m1), np.zeros(m1))
+    td = toeplitz(_pad(_poisson_kernel(model.lambda_dark), m1), np.zeros(m1))
     f = model.flip_bd                      # both states cycled every cycle
 
-    def trajectory(start_bright: bool) -> np.ndarray:
-        jb = np.zeros((m1, m1))
-        jd = np.zeros((m1, m1))
-        (jb if start_bright else jd)[0, 0] = 1.0
-        for _ in range(cycles):
-            jb, jd = ((1 - f) * jb + f * jd, (1 - f) * jd + f * jb)
-            jb = _conv_axis(_conv_axis(jb, kb, 0), kd, 1)
-            jd = _conv_axis(_conv_axis(jd, kd, 0), kb, 1)
-        return jb + jd
-
-    start_bright = prepared is Nuclear.UP
-    j_good = trajectory(start_bright)
-    j_inverted = trajectory(not start_bright)
-    kc = _poisson_kernel(model.lambda_dark * cycles)
-    kc = np.pad(kc, (0, max(0, m1 - len(kc))))[:m1]
+    # axis 0 stacks the trajectories from the prepared and the inverted state
+    up = prepared is Nuclear.UP
+    jb = np.zeros((2, m1, m1))
+    jd = np.zeros((2, m1, m1))
+    jb[:, 0, 0] = (up, not up)
+    jd[:, 0, 0] = (not up, up)
+    for _ in range(cycles):
+        jb, jd = (1 - f) * jb + f * jd, (1 - f) * jd + f * jb
+        jb = tb @ jb @ td.T
+        jd = td @ jd @ tb.T
+    j_good, j_inverted = jb + jd
+    kc = _pad(_poisson_kernel(model.lambda_dark * cycles), m1)
     j_charge = np.outer(kc, kc)
 
     e, c = model.nuclear_init_error, model.charge_error

@@ -360,13 +360,15 @@ def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
         if spec[:half].max() < spec[half:].max() else \
         float(spec[half:].max() / spec[:half].max())
 
-    # 4. flip decay over 500 cycles
-    protocol_500 = dataclasses.replace(cfg.protocol, cycles=500).build()
-    decay_batch = simulate_batch(model, protocol_500, Nuclear.UP,
+    # 4. flip decay over 1000 cycles: over 500 the baseline and the rate
+    # are confounded and the fit is about 5x less precise
+    decay_protocol = dataclasses.replace(cfg.protocol, cycles=1000).build()
+    decay_batch = simulate_batch(model, decay_protocol, Nuclear.UP,
                                  shots, seed + 10, n_workers=cfg.run.workers)
-    p, se = decay_batch.detect1 / shots, None
+    p = decay_batch.detect1 / shots
     np.savetxt(manifest.path("detection_curve.csv"),
-               np.column_stack([np.arange(1, 501), p]), delimiter=",",
+               np.column_stack([np.arange(1, decay_protocol.cycles + 1), p]),
+               delimiter=",",
                header="cycle,detection_probability", comments="")
     manifest.register("detection_curve.csv")
     flip_fit = fit_flip_rate(decay_batch.detect1, shots)

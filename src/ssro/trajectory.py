@@ -44,7 +44,8 @@ __all__ = [
 
 DEFAULT_CONDITIONAL_WINDOW = 120
 
-# fixed draw layout of one shot's stream (effective mode)
+# fixed draw layout of one shot's stream (effective mode); a shot whose
+# _MAX_FLIPS-th flip falls inside the record raises rather than truncating
 _J_INIT = 0
 _J_CHARGE = 1
 _J_FLIP = 2
@@ -235,8 +236,13 @@ class BatchResult:
             head2 = np.empty(n, dtype=np.int64) if dual else None
             counts1 = None
             counts2 = None
+            i = -1
             for i, line in enumerate(fh):
                 rec = json.loads(line)
+                if i >= n or rec.get("shot") != i:
+                    raise ValueError(
+                        f"{path}: line {i + 2} holds shot {rec.get('shot')}; "
+                        f"expected shots 0..{n - 1} in order")
                 total1[i] = rec["total1"]
                 head1[i] = rec["head1"]
                 if dual:
@@ -250,6 +256,9 @@ class BatchResult:
                         if counts2 is None:
                             counts2 = np.zeros((n, header["cycles"]), dtype=np.int16)
                         counts2[i] = rec["counts2"]
+            if i + 1 != n:
+                raise ValueError(f"{path}: {i + 1} shot records, header "
+                                 f"declares {n}")
         return cls(
             prepared=Nuclear(header["prepared"]),
             master_seed=header["master_seed"],
@@ -265,6 +274,15 @@ class BatchResult:
                      else np.asarray(header["detect2"], dtype=np.int64)),
             counts1=counts1, counts2=counts2,
         )
+
+
+def _flip_cap_error(rate_cycled: float, rate_idle: float,
+                    cycles: int) -> ValueError:
+    return ValueError(
+        f"a shot flipped {_MAX_FLIPS} times within {cycles} cycles (flip "
+        f"rates {rate_cycled:g} cycled, {rate_idle:g} idle per cycle); the "
+        f"draw layout holds at most {_MAX_FLIPS} flips per shot, so the "
+        f"sampler cannot represent this model")
 
 
 def _simulate_chunk(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
@@ -304,6 +322,8 @@ def _simulate_chunk(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
         alive = hit
         if not alive.any():
             break
+    if alive.any():
+        raise _flip_cap_error(rate_cycled, rate_idle, cycles)
 
     cyc = np.arange(1, cycles + 1, dtype=np.int64)
     parity = np.zeros((n, cycles), dtype=np.int8)
@@ -375,6 +395,8 @@ def simulate_shot(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
         t += int(k)
         boundaries.append(t)
         state = not state
+    else:
+        raise _flip_cap_error(rate_cycled, rate_idle, cycles)
 
     counts1 = np.zeros(cycles, dtype=np.int64)
     counts2 = np.zeros(cycles, dtype=np.int64) if protocol.dual else None

@@ -1,0 +1,209 @@
+"""The blocked and repeated-squaring operators against sequential references.
+
+``propagate`` applies its RK4 step operator as blocked powers and the exact
+count DPs apply one readout cycle by repeated squaring (or, for the dual
+read, as Toeplitz products).  The references below are the plain
+step-by-step loops with the same step operator, kernels and truncation; the
+fast forms must agree with them to rounding.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from ssro.analysis import (_pmf_length, _poisson_kernel, exact_count_pmf,
+                           exact_dual_pmf, exact_head_tail_pmf)
+from ssro.model import Nuclear
+from ssro.optics import (OpticalModel, StepSizeError, default_optical_model,
+                         propagate)
+from ssro.trajectory import ShotModel, calibrated_shot_model
+
+ATOL = 1e-12
+
+
+# --- sequential references ---------------------------------------------------
+
+def ref_propagate(model, duration_us, step_us, x0):
+    a = model.rate_matrix()
+    n = int(round(duration_us / step_us))
+    step_op = np.eye(5)
+    power = np.eye(5)
+    for order in (1, 2, 3, 4):
+        power = power @ (a * step_us)
+        step_op = step_op + power / math.factorial(order)
+    xs = np.empty((n + 1, 5))
+    xs[0] = x0
+    x = x0
+    for i in range(n):
+        x = step_op @ x
+        xs[i + 1] = x
+    return xs
+
+
+def _mixture(model, good, inverted, charge):
+    e, c = model.nuclear_init_error, model.charge_error
+    return (1 - c) * (1 - e) * good + (1 - c) * e * inverted + c * charge
+
+
+def _padded(kern, n):
+    return np.pad(kern, (0, max(0, n - len(kern))))[:n]
+
+
+def conv_axis(arr, kern, axis):
+    out = np.zeros_like(arr)
+    n = arr.shape[axis]
+    for i, kv in enumerate(kern):
+        if i >= n:
+            break
+        if axis == 0:
+            out[i:, :] += kv * arr[:n - i, :]
+        else:
+            out[:, i:] += kv * arr[:, :n - i]
+    return out
+
+
+def ref_count_pmf(model, cycles, prepared, dual=False):
+    lmax = _pmf_length(model, cycles)
+    kb = _poisson_kernel(model.lambda_bright)
+    kd = _poisson_kernel(model.lambda_dark)
+    f_cycled, f_idle = model.flip_rates(dual)
+    f_up, f_dn = f_cycled, (f_cycled if dual else f_idle)
+
+    def trajectory(start_bright):
+        pb = np.zeros(lmax)
+        pd = np.zeros(lmax)
+        (pb if start_bright else pd)[0] = 1.0
+        for _ in range(cycles):
+            pb, pd = ((1 - f_up) * pb + f_dn * pd,
+                      (1 - f_dn) * pd + f_up * pb)
+            pb = np.convolve(pb, kb)[:lmax]
+            pd = np.convolve(pd, kd)[:lmax]
+        return pb + pd
+
+    up = prepared is Nuclear.UP
+    charge = _padded(_poisson_kernel(model.lambda_dark * cycles), lmax)
+    return _mixture(model, trajectory(up), trajectory(not up), charge)
+
+
+def ref_head_tail_pmf(model, cycles, window, prepared):
+    hmax = _pmf_length(model, window)
+    tmax = _pmf_length(model, cycles - window) if cycles > window else 2
+    kb = _poisson_kernel(model.lambda_bright)
+    kd = _poisson_kernel(model.lambda_dark)
+    f_up, f_dn = model.flip_bd, model.flip_db
+
+    def trajectory(start_bright):
+        jb = np.zeros((hmax, tmax))
+        jd = np.zeros((hmax, tmax))
+        (jb if start_bright else jd)[0, 0] = 1.0
+        for cyc in range(cycles):
+            jb, jd = ((1 - f_up) * jb + f_dn * jd,
+                      (1 - f_dn) * jd + f_up * jb)
+            axis = 0 if cyc < window else 1
+            jb = conv_axis(jb, kb, axis)
+            jd = conv_axis(jd, kd, axis)
+        return jb + jd
+
+    up = prepared is Nuclear.UP
+    charge = np.outer(
+        _padded(_poisson_kernel(model.lambda_dark * window), hmax),
+        _padded(_poisson_kernel(model.lambda_dark * (cycles - window)), tmax))
+    return _mixture(model, trajectory(up), trajectory(not up), charge)
+
+
+def ref_dual_pmf(model, cycles, prepared):
+    m1 = _pmf_length(model, cycles)
+    kb = _poisson_kernel(model.lambda_bright)
+    kd = _poisson_kernel(model.lambda_dark)
+    f = model.flip_bd
+
+    def trajectory(start_bright):
+        jb = np.zeros((m1, m1))
+        jd = np.zeros((m1, m1))
+        (jb if start_bright else jd)[0, 0] = 1.0
+        for _ in range(cycles):
+            jb, jd = ((1 - f) * jb + f * jd, (1 - f) * jd + f * jb)
+            jb = conv_axis(conv_axis(jb, kb, 0), kd, 1)
+            jd = conv_axis(conv_axis(jd, kd, 0), kb, 1)
+        return jb + jd
+
+    up = prepared is Nuclear.UP
+    kc = _padded(_poisson_kernel(model.lambda_dark * cycles), m1)
+    return _mixture(model, trajectory(up), trajectory(not up),
+                    np.outer(kc, kc))
+
+
+# --- propagate ---------------------------------------------------------------
+
+G32 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("model, duration_us, step_us, x0", [
+    (default_optical_model(), 1e-4, 1e-4, G32),               # n = 1
+    (default_optical_model(), 0.0143, 1e-4, G32),             # n + 1 = 12^2
+    (default_optical_model(), 0.0144, 1e-4, G32),             # n = 12^2
+    (default_optical_model(), 1.5, 1e-4, G32),                # n + 1 = 15001
+    (default_optical_model(), 0.0123, 1e-4, G32),             # ragged block
+    (OpticalModel(decay_a1=0.0, decay_a2=0.0), 0.5, 1e-4, G32),   # no rates
+    (OpticalModel(decay_a1=0.0), 0.05, 1e-4,
+     np.array([0.0, 0.0, 0.0, 1.0, 0.0])),                    # pure decay
+], ids=["n1", "square_rows", "square_n", "window", "ragged", "zero_rates",
+        "pure_decay"])
+def test_propagate_matches_sequential_rk4(model, duration_us, step_us, x0):
+    curve = propagate(model, duration_us, step_us, start=x0)
+    ref = ref_propagate(model, duration_us, step_us, x0)
+    assert curve.populations.shape == ref.shape
+    np.testing.assert_allclose(curve.populations, ref, rtol=0, atol=ATOL)
+    np.testing.assert_array_equal(curve.times_us,
+                                  np.arange(len(ref)) * step_us)
+
+
+def test_propagate_still_rejects_coarse_step():
+    with pytest.raises(StepSizeError):
+        propagate(default_optical_model(), 5.0, step_us=0.05)
+
+
+# --- exact DPs ---------------------------------------------------------------
+
+CAL = calibrated_shot_model()
+MODELS = {
+    "calibrated": CAL,
+    "no_flips": ShotModel(**{**CAL.to_dict(), "flip_bd": 0.0, "flip_db": 0.0}),
+    "always_flip": ShotModel(**{**CAL.to_dict(), "flip_bd": 1.0,
+                                "flip_db": 1.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("cycles", [1, 250, 1000])
+@pytest.mark.parametrize("dual", [False, True])
+def test_count_pmf_matches_sequential(name, cycles, dual):
+    model = MODELS[name]
+    for prepared in (Nuclear.UP, Nuclear.DOWN):
+        got = exact_count_pmf(model, cycles, prepared, dual=dual)
+        ref = ref_count_pmf(model, cycles, prepared, dual=dual)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("cycles, window", [
+    (250, 1), (250, 120), (250, 250), (1, 1), (40, 40)])
+def test_head_tail_pmf_matches_2d_dp(name, cycles, window):
+    model = MODELS[name]
+    for prepared in (Nuclear.UP, Nuclear.DOWN):
+        got = exact_head_tail_pmf(model, cycles, window, prepared)
+        ref = ref_head_tail_pmf(model, cycles, window, prepared)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("cycles", [10, 250])
+def test_dual_pmf_matches_2d_dp(name, cycles):
+    model = MODELS[name]
+    for prepared in (Nuclear.UP, Nuclear.DOWN):
+        got = exact_dual_pmf(model, cycles, prepared)
+        ref = ref_dual_pmf(model, cycles, prepared)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=ATOL)

@@ -96,6 +96,16 @@ class TestFlipDecay:
         assert means[0] > means[1] > means[2]
 
 
+    def test_flip_cap_raises_instead_of_truncating(self, protocol):
+        # at 0.2 per cycle a shot expects ~50 flips in 250 cycles, far more
+        # than the draw layout holds
+        model = ideal_model(flip_bd=0.2, flip_db=0.2)
+        with pytest.raises(ValueError, match="0.2.*12 flips"):
+            simulate_batch(model, protocol, Nuclear.UP, 100, master_seed=3)
+        with pytest.raises(ValueError, match="0.2.*12 flips"):
+            simulate_shot(model, protocol, Nuclear.UP, seed=12345)
+
+
 class TestDeterminism:
     def test_same_master_seed_identical(self, protocol):
         model = calibrated_shot_model()
@@ -242,6 +252,25 @@ class TestRecordsAndSerialization:
     def test_invalid_shot_count(self, protocol):
         with pytest.raises(ValueError):
             simulate_batch(ideal_model(), protocol, Nuclear.UP, 0, master_seed=1)
+
+    @pytest.mark.parametrize("damage", ["truncated", "duplicated", "extra"])
+    def test_jsonl_rejects_mismatched_records(self, protocol, tmp_path, damage):
+        batch = simulate_batch(calibrated_shot_model(), protocol, Nuclear.UP,
+                               100, master_seed=7)
+        path = tmp_path / "batch.jsonl"
+        batch.save_jsonl(path)
+        lines = path.read_text().splitlines(keepends=True)
+        if damage == "truncated":
+            lines = lines[:-10]
+        elif damage == "duplicated":
+            lines.insert(50, lines[50])
+            lines.pop()
+        else:
+            lines.append(lines[-1])
+        bad = tmp_path / f"{damage}.jsonl"
+        bad.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"{damage}.jsonl"):
+            BatchResult.load_jsonl(bad)
 
 
 class TestMicroscopicMode:
