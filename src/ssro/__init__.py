@@ -10,7 +10,7 @@ from .optics import (OpticalModel, PumpCurve, PumpTarget, propagate,
                      expected_cycle_photons, default_optical_model)
 from .protocol import (Pulse, Repeat, Sequence, ProtocolSpec,
                        build_standard_readout, build_dual_step_readout,
-                       parse_sequence, print_sequence, gate_action, apply_swap)
+                       parse_sequence, print_sequence, gate_action)
 from .trajectory import (ShotModel, ShotRecord, BatchResult, simulate_shot,
                          simulate_batch, cycle_detection_curve,
                          calibrated_shot_model)

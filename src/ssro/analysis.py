@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.optimize import least_squares, minimize_scalar
 from scipy.stats import chi2, poisson
 
@@ -69,7 +68,7 @@ def _poisson_kernel(lam: float, tail: float = 1e-14) -> np.ndarray:
     return poisson.pmf(np.arange(kmax + 1), lam)
 
 
-def _pmf_length(model: ShotModel, cycles: int, dual: bool = False) -> int:
+def _pmf_length(model: ShotModel, cycles: int) -> int:
     lam = max(model.lambda_bright, model.lambda_dark)
     m = lam * cycles
     return int(m + 10 * math.sqrt(m + 1) + 25)
@@ -210,7 +209,7 @@ def _cycle_power(kb: np.ndarray, kd: np.ndarray, f_up: float, f_dn: float,
     """Count polynomials of ``cycles`` readout cycles by repeated squaring.
 
     Entry [to][from] (state 0 bright, 1 dark) of the one-cycle operator is
-    "flip or stay, then the new state's Poisson kernel", so its n-th power
+    "flip or stay, then the new state's count kernel", so its n-th power
     is the forward recursion of the two-state hidden Markov model over n
     cycles.  Every product is truncated at ``lmax`` coefficients, which
     leaves those coefficients exact because counts never decrease.
@@ -244,6 +243,18 @@ def _from_state(power: list, start: int, n: int) -> np.ndarray:
     return _pad(power[0][start], n) + _pad(power[1][start], n)
 
 
+def _mix(model: ShotModel, good: np.ndarray, inverted: np.ndarray,
+         charge: np.ndarray) -> np.ndarray:
+    """Mix the trajectories from the prepared and the inverted nuclear
+    state with the charge-failed one, checking the support held the mass."""
+    e, c = model.nuclear_init_error, model.charge_error
+    pmf = (1 - c) * (1 - e) * good + (1 - c) * e * inverted + c * charge
+    if abs(pmf.sum() - 1.0) > 1e-9:
+        raise AnalysisError(f"PMF lost mass ({pmf.sum():.12f}); "
+                            "increase the support length")
+    return pmf
+
+
 def exact_count_pmf(model: ShotModel, cycles: int, prepared: Nuclear,
                     dual: bool = False) -> np.ndarray:
     """Exact PMF of the read-1 total for the effective model.
@@ -261,22 +272,11 @@ def exact_count_pmf(model: ShotModel, cycles: int, prepared: Nuclear,
     lmax = _pmf_length(model, cycles)
     kb = _poisson_kernel(model.lambda_bright)
     kd = _poisson_kernel(model.lambda_dark)
-    f_cycled, f_idle = model.flip_rates(dual)
-    f_up = f_cycled                       # up state always cycles
-    f_dn = f_cycled if dual else f_idle
-
-    power = _cycle_power(kb, kd, f_up, f_dn, cycles, lmax)
+    power = _cycle_power(kb, kd, *model.flip_rates(dual), cycles, lmax)
     start = 0 if prepared is Nuclear.UP else 1
-    p_good = _from_state(power, start, lmax)
-    p_inverted = _from_state(power, 1 - start, lmax)
-    p_charge = _pad(_poisson_kernel(model.lambda_dark * cycles), lmax)
-
-    e, c = model.nuclear_init_error, model.charge_error
-    pmf = ((1 - c) * (1 - e) * p_good + (1 - c) * e * p_inverted + c * p_charge)
-    if abs(pmf.sum() - 1.0) > 1e-9:
-        raise AnalysisError(f"PMF lost mass ({pmf.sum():.12f}); "
-                            "increase the support length")
-    return pmf
+    return _mix(model, _from_state(power, start, lmax),
+                _from_state(power, 1 - start, lmax),
+                _pad(_poisson_kernel(model.lambda_dark * cycles), lmax))
 
 
 def exact_head_tail_pmf(model: ShotModel, cycles: int, window: int,
@@ -295,9 +295,9 @@ def exact_head_tail_pmf(model: ShotModel, cycles: int, window: int,
     tmax = _pmf_length(model, cycles - window) if cycles > window else 2
     kb = _poisson_kernel(model.lambda_bright)
     kd = _poisson_kernel(model.lambda_dark)
-    f_up, f_dn = model.flip_bd, model.flip_db
-    head = _cycle_power(kb, kd, f_up, f_dn, window, hmax)
-    tail = _cycle_power(kb, kd, f_up, f_dn, cycles - window, tmax)
+    flips = model.flip_rates(dual=False)
+    head = _cycle_power(kb, kd, *flips, window, hmax)
+    tail = _cycle_power(kb, kd, *flips, cycles - window, tmax)
     tail_from = [_from_state(tail, s, tmax) for s in (0, 1)]
 
     def trajectory(start: int) -> np.ndarray:
@@ -305,54 +305,38 @@ def exact_head_tail_pmf(model: ShotModel, cycles: int, window: int,
                    for s in (0, 1))
 
     start = 0 if prepared is Nuclear.UP else 1
-    j_good = trajectory(start)
-    j_inverted = trajectory(1 - start)
-    j_charge = np.outer(
+    return _mix(model, trajectory(start), trajectory(1 - start), np.outer(
         _pad(_poisson_kernel(model.lambda_dark * window), hmax),
-        _pad(_poisson_kernel(model.lambda_dark * (cycles - window)), tmax))
-
-    e, c = model.nuclear_init_error, model.charge_error
-    joint = ((1 - c) * (1 - e) * j_good + (1 - c) * e * j_inverted
-             + c * j_charge)
-    if abs(joint.sum() - 1.0) > 1e-9:
-        raise AnalysisError("joint PMF lost mass; increase the support")
-    return joint
+        _pad(_poisson_kernel(model.lambda_dark * (cycles - window)), tmax)))
 
 
 def exact_dual_pmf(model: ShotModel, cycles: int, prepared: Nuclear) -> np.ndarray:
     """Joint PMF over (total_read1, total_read2) for the dual protocol.
 
-    Each cycle mixes the nuclear state, then applies the two reads'
-    emissions to the joint count matrix J as Kb @ J @ Kd.T (bright state)
-    or Kd @ J @ Kb.T (dark state), with K the lower-triangular Toeplitz
-    matrix of a Poisson kernel.
+    Given the number m of cycles the nucleus spends bright, the two read
+    totals are independent Poisson variables with means
+    m * lambda_bright + (cycles - m) * lambda_dark and the mirror image, so
+    the joint PMF is a mixture of outer products over m.  The PMF of m is
+    the cycle power with indicator kernels (one per bright cycle, none per
+    dark one) and the dual protocol's flip rates.
     """
     _check_effective(model)
     m1 = _pmf_length(model, cycles)
-    tb = toeplitz(_pad(_poisson_kernel(model.lambda_bright), m1), np.zeros(m1))
-    td = toeplitz(_pad(_poisson_kernel(model.lambda_dark), m1), np.zeros(m1))
-    f = model.flip_bd                      # both states cycled every cycle
+    occupancy = _cycle_power(np.array([0.0, 1.0]), np.array([1.0]),
+                             *model.flip_rates(dual=True), cycles, cycles + 1)
+    m = np.arange(cycles + 1)[:, None]
+    lb, ld = model.lambda_bright, model.lambda_dark
+    read1 = poisson.pmf(np.arange(m1), m * lb + (cycles - m) * ld)
+    read2 = poisson.pmf(np.arange(m1), m * ld + (cycles - m) * lb)
 
-    # axis 0 stacks the trajectories from the prepared and the inverted state
-    up = prepared is Nuclear.UP
-    jb = np.zeros((2, m1, m1))
-    jd = np.zeros((2, m1, m1))
-    jb[:, 0, 0] = (up, not up)
-    jd[:, 0, 0] = (not up, up)
-    for _ in range(cycles):
-        jb, jd = (1 - f) * jb + f * jd, (1 - f) * jd + f * jb
-        jb = tb @ jb @ td.T
-        jd = td @ jd @ tb.T
-    j_good, j_inverted = jb + jd
+    def trajectory(start: int) -> np.ndarray:
+        weights = _from_state(occupancy, start, cycles + 1)
+        return np.einsum("mi,mj->ij", weights[:, None] * read1, read2)
+
+    start = 0 if prepared is Nuclear.UP else 1
     kc = _pad(_poisson_kernel(model.lambda_dark * cycles), m1)
-    j_charge = np.outer(kc, kc)
-
-    e, c = model.nuclear_init_error, model.charge_error
-    joint = ((1 - c) * (1 - e) * j_good + (1 - c) * e * j_inverted
-             + c * j_charge)
-    if abs(joint.sum() - 1.0) > 1e-9:
-        raise AnalysisError("dual PMF lost mass; increase the support")
-    return joint
+    return _mix(model, trajectory(start), trajectory(1 - start),
+                np.outer(kc, kc))
 
 
 # --- fidelity reports -----------------------------------------------------------
@@ -574,7 +558,10 @@ def fit_flip_rate(detections: np.ndarray, n_shots: int) -> FlipFitResult:
     independent, which holds for curve-level (binomial) noise: coverage
     0.68 over 1000 curves of 1000 cycles x 500k shots.  For trajectory
     batches, where one shot's flip time correlates its cycles, it is
-    noticeably optimistic: coverage 0.58 for the same record.  b and f are
+    noticeably optimistic: coverage 0.58 for the same record.  On
+    500-cycle records at 1e6 shots it over-covers instead (0.87 binomial,
+    0.82 trajectory), because b sits on its bound 0 in 42-45 % of the
+    fits, where the chi2(1) cut is not calibrated.  b and f are
     confounded when (1-f)^cycles is near 1: a record in which little of
     the bright population decays cannot tell a slower decay from a higher
     baseline (|corr(b, f)| = 0.999 over 500 cycles at f = 7.7e-4), so

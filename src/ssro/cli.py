@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rng
 from .analysis import (AnalysisError, ClassifierConfig, CountHistogram,
                        FitTargets, JointHistogram, REFERENCE_TARGETS,
                        estimate_peak_separation, exact_count_pmf,
@@ -101,6 +101,12 @@ def _prepare_out(cfg: RunConfig, override=None) -> str:
     return out
 
 
+# One fixed label per batch stream: each batch's master seed is
+# rng.shot_seed(seed, label), so the batches of neighbouring seeds, and of
+# one run, draw from unrelated shot streams.
+_STREAMS = {"up": 0, "down": 1, "decay": 2, "dual_up": 3, "dual_down": 4}
+
+
 def _simulate_pair(cfg: RunConfig, protocol, shots, seed, prepared="both"):
     batches = {}
     worklist = {"up": Nuclear.UP, "down": Nuclear.DOWN}
@@ -109,7 +115,7 @@ def _simulate_pair(cfg: RunConfig, protocol, shots, seed, prepared="both"):
     for name, state in worklist.items():
         batches[name] = simulate_batch(
             cfg.shot_model, protocol, state, shots,
-            seed if name == "up" else seed + 1,
+            rng.shot_seed(seed, _STREAMS[name]),
             keep_cycles=cfg.run.full_cycles,
             n_workers=cfg.run.workers)
     return batches
@@ -364,7 +370,8 @@ def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
     # are confounded and the fit is about 5x less precise
     decay_protocol = dataclasses.replace(cfg.protocol, cycles=1000).build()
     decay_batch = simulate_batch(model, decay_protocol, Nuclear.UP,
-                                 shots, seed + 10, n_workers=cfg.run.workers)
+                                 shots, rng.shot_seed(seed, _STREAMS["decay"]),
+                                 n_workers=cfg.run.workers)
     p = decay_batch.detect1 / shots
     np.savetxt(manifest.path("detection_curve.csv"),
                np.column_stack([np.arange(1, decay_protocol.cycles + 1), p]),
@@ -418,9 +425,11 @@ def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
     dual_cfg = dataclasses.replace(cfg.protocol, kind="dual")
     dual_protocol = dual_cfg.build()
     dual_up = simulate_batch(model, dual_protocol, Nuclear.UP, shots,
-                             seed + 20, n_workers=cfg.run.workers)
+                             rng.shot_seed(seed, _STREAMS["dual_up"]),
+                             n_workers=cfg.run.workers)
     dual_dn = simulate_batch(model, dual_protocol, Nuclear.DOWN, shots,
-                             seed + 21, n_workers=cfg.run.workers)
+                             rng.shot_seed(seed, _STREAMS["dual_down"]),
+                             n_workers=cfg.run.workers)
     joint = JointHistogram.from_batches(dual_up, dual_dn)
     joint.to_csv(manifest.path("joint_histogram.csv"))
     manifest.register("joint_histogram.csv")

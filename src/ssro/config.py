@@ -12,10 +12,9 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .analysis import ClassifierConfig
-from .model import PhysicalParams
+from .model import PhysicalParams, packaged_defaults
 from .optics import OpticalModel, default_optical_model
 from .trajectory import ShotModel, calibrated_shot_model
 
@@ -106,6 +105,7 @@ class RunConfig:
         unknown = set(raw) - set(sections)
         if unknown:
             raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+        defaults = cls()
         kwargs = {}
         for name, typ in sections.items():
             section = raw.get(name, {})
@@ -117,7 +117,7 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown key(s) in {name}: {sorted(bad)}")
             try:
-                base = dataclasses.asdict(getattr(cls(), name))
+                base = dataclasses.asdict(getattr(defaults, name))
                 base.update(section)
                 kwargs[name] = typ(**base)
             except ConfigError:
@@ -152,18 +152,13 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def _builtin_profile() -> dict:
-    text = resources.files("ssro").joinpath("data/defaults.json").read_text()
-    return json.loads(text)
-
-
 def load_config(path_or_profile: str | None = None,
                 environ=None) -> RunConfig:
     """Load a config file or a built-in profile name, then apply
     environment overrides."""
     environ = os.environ if environ is None else environ
     if path_or_profile in (None, *BUILTIN_PROFILES):
-        raw = _builtin_profile()
+        raw = packaged_defaults()
     else:
         try:
             with open(path_or_profile, "r", encoding="utf-8") as fh:

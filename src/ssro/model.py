@@ -10,8 +10,10 @@ nuclear condition and are separated by the hyperfine splitting.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, asdict
+from importlib import resources
 
 import numpy as np
 
@@ -31,6 +33,13 @@ __all__ = [
 
 class ModelError(ValueError):
     """Invalid physical parameters or level-diagram lookups."""
+
+
+def packaged_defaults() -> dict:
+    """The built-in profile data/defaults.json (provenance of each value in
+    data/defaults_notes.json), parsed afresh so callers may edit it."""
+    text = resources.files("ssro").joinpath("data/defaults.json").read_text()
+    return json.loads(text)
 
 
 class Electron(enum.Enum):
@@ -134,16 +143,6 @@ class LevelDiagram:
             if t.label == label:
                 return t
         raise ModelError(f"unknown transition label {label!r}")
-
-    def mw_partner(self, label: str) -> Transition:
-        """The transition on the same electron pair with the other nuclear
-        condition (MWxA <-> MWxB)."""
-        t = self.find(label)
-        for other in self.transitions:
-            if (other.kind == "mw" and other.label != label
-                    and other.electron_pair == t.electron_pair):
-                return other
-        raise ModelError(f"no hyperfine partner for {label!r}")
 
 
 def default_diagram(up: Nuclear = Nuclear.UP) -> LevelDiagram:

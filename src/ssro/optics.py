@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace, asdict
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import Electron, RegisterState
+from .model import Electron, RegisterState, packaged_defaults
 
 __all__ = [
     "LEVELS",
@@ -314,21 +314,7 @@ def calibrate_collection(model: OpticalModel, target_photons: float,
     return replace(model, collection_efficiency=eff)
 
 
-# Calibrated solution of fit_pump_rates + calibrate_collection for the
-# reference benchmarks (>= 98.5 % pumped out of g32 at 1.5 us, 0.028
-# detected photons per 1.5 us bright window).  The metastable topology is
-# not independently constrained; these rates are one consistent choice.
-_DEFAULT_RATES = dict(
-    pump_a1=0.0,
-    pump_a2=30.183185905218124,
-    isc_e12=15.619580432772636,
-    isc_e32=15.619580432772636,
-    m_to_g12=31.39736607670784,
-    m_to_g32=0.0,
-    collection_efficiency=0.004654382389986314,
-)
-
-
 def default_optical_model() -> OpticalModel:
-    """The shipped calibrated optical model (see _DEFAULT_RATES note)."""
-    return OpticalModel(**_DEFAULT_RATES)
+    """The shipped calibrated optical model (the ``optical`` section of
+    data/defaults.json, from fit_pump_rates + calibrate_collection)."""
+    return OpticalModel(**packaged_defaults()["optical"])

@@ -14,8 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .model import (Electron, LevelDiagram, Nuclear, PhysicalParams,
-                    RegisterState, default_diagram)
+from .model import (LevelDiagram, PhysicalParams, RegisterState,
+                    default_diagram)
 
 __all__ = [
     "Pulse",
@@ -32,7 +32,6 @@ __all__ = [
     "parse_sequence",
     "print_sequence",
     "gate_action",
-    "apply_swap",
 ]
 
 DEFAULT_CYCLES = 250
@@ -126,13 +125,6 @@ class Sequence:
             elif b.kind == "laser" and b.read_slot is not None:
                 n += 1
         return n
-
-    def validate_labels(self, diagram: LevelDiagram) -> None:
-        for b in self.blocks:
-            if isinstance(b, Repeat):
-                b.body.validate_labels(diagram)
-            elif b.label is not None:
-                diagram.find(b.label)
 
     def structurally_equal(self, other: "Sequence") -> bool:
         """Equality on pulse content, ignoring sequence names."""
@@ -468,23 +460,3 @@ def gate_action(pulse: Pulse, state: RegisterState, params: PhysicalParams,
     flipped = b if state.electron is a else a
     return replace(state, electron=flipped)
 
-
-def apply_swap(state: RegisterState, params: PhysicalParams,
-               rng) -> RegisterState:
-    """Net effect of the electron-nuclear swap used for initialization.
-
-    Copies the electron state onto the nucleus: +3/2 writes up, +1/2
-    writes down.  The copy fails (nucleus unchanged) with probability
-    1 - nuclear_init_fidelity, which is the only number the end-to-end
-    initialization is characterized by.  Other electron states leave the
-    nucleus untouched.
-    """
-    if state.electron is Electron.PLUS_3_2:
-        target = Nuclear.UP
-    elif state.electron is Electron.PLUS_1_2:
-        target = Nuclear.DOWN
-    else:
-        return state
-    if rng.random() >= params.nuclear_init_fidelity:
-        return state
-    return replace(state, nuclear=target)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["shot_seed", "shot_seeds", "uniform", "uniforms",
+__all__ = ["shot_seed", "shot_seeds", "uniforms",
            "poisson_from_uniform", "geometric_from_uniform"]
 
 _U64 = np.uint64
@@ -51,10 +51,6 @@ def uniforms(seeds: np.ndarray, draw_index: int) -> np.ndarray:
         z = _finalize(np.asarray(seeds, dtype=np.uint64)
                       + _U64((draw_index + 1) & 0xFFFFFFFFFFFFFFFF) * _GAMMA)
     return _to_unit(z)
-
-
-def uniform(seed: int, draw_index: int) -> float:
-    return float(uniforms(np.array([seed], dtype=np.uint64), draw_index)[0])
 
 
 def poisson_from_uniform(u: np.ndarray, lam: np.ndarray,

@@ -27,7 +27,8 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 from . import rng
-from .model import Electron, Nuclear, PhysicalParams, RegisterState, default_diagram
+from .model import (Electron, Nuclear, PhysicalParams, RegisterState,
+                    default_diagram, packaged_defaults)
 from .optics import OpticalModel, default_optical_model, propagate
 from .protocol import ProtocolSpec, gate_action, mw_pi
 
@@ -102,27 +103,10 @@ class ShotModel:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# Effective model calibrated (analysis.fit_shot_model) so the reference
-# experiment's summary statistics are reproduced simultaneously: bright and
-# dark mean totals 6.24 / 0.40, raw misread rates 0.191 / 0.048 at cutoff 1,
-# and conditional rates 0.028 / 0.009 with the 120-cycle window.  The bright
-# rate comes out ~16 % above the per-cycle detection benchmark of the optics
-# module and the residual errors split into a dominant charge-type component
-# and a ~4 % effective initialization error; both are what the count
-# histograms themselves demand.
-_CALIBRATED = dict(
-    lambda_bright=0.03243709536317364,
-    lambda_dark=0.00023825238132203305,
-    flip_bd=7.7e-4,
-    flip_db=9.442906984316448e-05,
-    nuclear_init_error=0.03937687948646225,
-    charge_error=0.1184007495846749,
-)
-
-
 def calibrated_shot_model() -> ShotModel:
-    """The shipped calibrated effective model (see _CALIBRATED note)."""
-    return ShotModel(**_CALIBRATED)
+    """The shipped calibrated effective model (the ``shot_model`` section of
+    data/defaults.json, from analysis.fit_shot_model)."""
+    return ShotModel(**packaged_defaults()["shot_model"])
 
 
 @dataclass(frozen=True)
@@ -286,13 +270,11 @@ def _flip_cap_error(rate_cycled: float, rate_idle: float,
 
 
 def _simulate_chunk(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
-                    master_seed: int, lo: int, hi: int, head_window: int,
-                    keep_cycles: bool):
-    """Vectorized effective-mode sampling of shots [lo, hi)."""
-    n = hi - lo
+                    seeds: np.ndarray, head_window: int, keep_cycles: bool):
+    """Vectorized effective-mode sampling of the shots with stream ``seeds``."""
+    n = len(seeds)
     cycles = protocol.cycles
     dual = protocol.dual
-    seeds = rng.shot_seeds(master_seed, np.arange(lo, hi, dtype=np.uint64))
 
     inverted = rng.uniforms(seeds, _J_INIT) < model.nuclear_init_error
     charge_bad = rng.uniforms(seeds, _J_CHARGE) < model.charge_error
@@ -366,9 +348,10 @@ def simulate_shot(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
                   head_window: int | None = None) -> ShotRecord:
     """Simulate one shot from its own stream seed.
 
-    In effective mode this consumes the exact draw layout of the batch
-    engine, so ``simulate_shot(..., seed=batch.record(i).seed)`` reproduces
-    record i bit for bit.
+    In effective mode this runs the batch sampler on a one-shot chunk, so
+    ``simulate_shot(..., seed=batch.record(i).seed)`` reproduces record i
+    bit for bit.  Microscopic mode consumes the same stream sequentially,
+    and simulate_batch calls this function once per shot.
     """
     head_window = _resolve_head_window(head_window, protocol.cycles)
     if model.mode == "microscopic":
@@ -376,44 +359,15 @@ def simulate_shot(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
                                           params or PhysicalParams(),
                                           optical or default_optical_model(),
                                           head_window)
-    cycles = protocol.cycles
-    seeds = np.array([seed], dtype=np.uint64)
+    out = _simulate_chunk(model, protocol, prepared,
+                          np.array([seed], dtype=np.uint64), head_window,
+                          keep_cycles=True)
+    return _record(prepared, seed, out["counts1"][0],
+                   None if out["counts2"] is None else out["counts2"][0],
+                   head_window)
 
-    inverted = rng.uniforms(seeds, _J_INIT)[0] < model.nuclear_init_error
-    charge_bad = rng.uniforms(seeds, _J_CHARGE)[0] < model.charge_error
-    bright = (prepared is Nuclear.UP) ^ inverted
 
-    rate_cycled, rate_idle = model.flip_rates(protocol.dual)
-    boundaries = []
-    t, state = 0, bright
-    for s in range(_MAX_FLIPS):
-        u = rng.uniforms(seeds, _J_FLIP + s)[0]
-        rate = rate_cycled if (protocol.dual or state) else rate_idle
-        k = rng.geometric_from_uniform(np.array([u]), np.array([rate]))[0]
-        if not np.isfinite(k) or t + int(k) > cycles:
-            break
-        t += int(k)
-        boundaries.append(t)
-        state = not state
-    else:
-        raise _flip_cap_error(rate_cycled, rate_idle, cycles)
-
-    counts1 = np.zeros(cycles, dtype=np.int64)
-    counts2 = np.zeros(cycles, dtype=np.int64) if protocol.dual else None
-    state_at = np.ones(cycles, dtype=bool) if bright else np.zeros(cycles, dtype=bool)
-    for b in boundaries:
-        state_at[b - 1:] = ~state_at[b - 1:]
-    for c in range(cycles):
-        lam = model.lambda_bright if (state_at[c] and not charge_bad) \
-            else model.lambda_dark
-        u = rng.uniforms(seeds, _J_READ + c)
-        counts1[c] = rng.poisson_from_uniform(u, np.array([lam]))[0]
-        if protocol.dual:
-            lam = model.lambda_bright if (not state_at[c] and not charge_bad) \
-                else model.lambda_dark
-            u = rng.uniforms(seeds, _J_READ + cycles + c)
-            counts2[c] = rng.poisson_from_uniform(u, np.array([lam]))[0]
-
+def _record(prepared, seed, counts1, counts2, head_window) -> ShotRecord:
     return ShotRecord(
         prepared=prepared, seed=seed,
         total1=int(counts1.sum()),
@@ -481,8 +435,9 @@ def simulate_batch(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
 
     def run(span):
         lo, hi = span
-        return lo, hi, _simulate_chunk(model, protocol, prepared, master_seed,
-                                       lo, hi, head_window, keep_cycles)
+        seeds = rng.shot_seeds(master_seed, np.arange(lo, hi, dtype=np.uint64))
+        return lo, hi, _simulate_chunk(model, protocol, prepared, seeds,
+                                       head_window, keep_cycles)
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -605,12 +560,4 @@ def _simulate_shot_microscopic(model, protocol, prepared, seed, params,
             else:
                 sink[c] = stream.poisson(model.lambda_dark)
 
-    return ShotRecord(
-        prepared=prepared, seed=seed,
-        total1=int(counts1.sum()),
-        total2=None if counts2 is None else int(counts2.sum()),
-        head1=int(counts1[:head_window].sum()),
-        head2=None if counts2 is None else int(counts2[:head_window].sum()),
-        counts_read1=tuple(int(x) for x in counts1),
-        counts_read2=None if counts2 is None else tuple(int(x) for x in counts2),
-    )
+    return _record(prepared, seed, counts1, counts2, head_window)

@@ -100,6 +100,17 @@ class TestSimulateAnalyze:
         assert (file_digest(os.path.join(out_a, "batch_down.jsonl"))
                 == file_digest(os.path.join(out_b, "batch_down.jsonl")))
 
+    def test_neighbouring_seeds_share_no_shot_streams(self, tmp_path):
+        def shot_seeds(seed, prepared):
+            out = tmp_path / str(seed)
+            if not out.exists():
+                assert main(["simulate", "--shots", "50", "--seed", str(seed),
+                             "--out", str(out)]) == 0
+            lines = (out / f"batch_{prepared}.jsonl").read_text().splitlines()
+            return {json.loads(line)["seed"] for line in lines[1:]}
+
+        assert shot_seeds(1, "down").isdisjoint(shot_seeds(2, "up"))
+
     def test_manifest_digests_match_outputs(self, tmp_path):
         out = str(tmp_path / "run")
         assert main(["simulate", "--shots", "500", "--seed", "1",

@@ -1,10 +1,11 @@
 """The blocked and repeated-squaring operators against sequential references.
 
 ``propagate`` applies its RK4 step operator as blocked powers and the exact
-count DPs apply one readout cycle by repeated squaring (or, for the dual
-read, as Toeplitz products).  The references below are the plain
-step-by-step loops with the same step operator, kernels and truncation; the
-fast forms must agree with them to rounding.
+count DPs apply one readout cycle by repeated squaring (for the dual read,
+to the bright-cycle count, over which two Poisson PMFs are mixed).  The
+references below are the plain step-by-step loops with the same step
+operator, kernels and truncation; the fast forms must agree with them to
+rounding.
 """
 import math
 
@@ -199,7 +200,7 @@ def test_head_tail_pmf_matches_2d_dp(name, cycles, window):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize("cycles", [10, 250])
+@pytest.mark.parametrize("cycles", [1, 10, 250])
 def test_dual_pmf_matches_2d_dp(name, cycles):
     model = MODELS[name]
     for prepared in (Nuclear.UP, Nuclear.DOWN):

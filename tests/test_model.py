@@ -50,9 +50,11 @@ class TestLevelDiagram:
         assert len(diagram.ground_states) == 8
 
     def test_mw_lines_pair_up(self, diagram):
-        for label in ("MW1A", "MW1B", "MW3A", "MW3B"):
+        partners = {"MW1A": "MW1B", "MW1B": "MW1A",
+                    "MW3A": "MW3B", "MW3B": "MW3A"}
+        for label, other in partners.items():
             t = diagram.find(label)
-            partner = diagram.mw_partner(label)
+            partner = diagram.find(other)
             assert partner.electron_pair == t.electron_pair
             assert partner.nuclear_condition != t.nuclear_condition
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ssro.model import Electron, Nuclear, PhysicalParams, RegisterState
 from ssro.protocol import (ProtocolError, Pulse, Repeat, Sequence,
-                           SequenceSyntaxError, apply_swap,
+                           SequenceSyntaxError,
                            build_dual_step_readout, build_standard_readout,
                            gate_action, laser, mw_pi, parse_sequence,
                            print_sequence, wait)
@@ -210,24 +210,3 @@ class TestGateAction:
         with pytest.raises(Exception, match="MW9"):
             gate_action(mw_pi("MW9"), RegisterState(), params, rng)
 
-
-class TestSwap:
-    def test_ideal_swap_copies_electron_to_nucleus(self):
-        ideal = PhysicalParams(nuclear_init_fidelity=1.0)
-        rng = np.random.default_rng(0)
-        for electron, expected in ((Electron.PLUS_3_2, Nuclear.UP),
-                                   (Electron.PLUS_1_2, Nuclear.DOWN)):
-            for start in (Nuclear.UP, Nuclear.DOWN):
-                state = RegisterState(electron=electron, nuclear=start)
-                assert apply_swap(state, ideal, rng).nuclear is expected
-
-    def test_failed_swap_leaves_nucleus(self):
-        never = PhysicalParams(nuclear_init_fidelity=0.0)
-        rng = np.random.default_rng(0)
-        state = RegisterState(electron=Electron.PLUS_3_2, nuclear=Nuclear.DOWN)
-        assert apply_swap(state, never, rng).nuclear is Nuclear.DOWN
-
-    def test_other_electron_states_leave_nucleus(self, params):
-        rng = np.random.default_rng(0)
-        state = RegisterState(electron=Electron.MINUS_3_2, nuclear=Nuclear.DOWN)
-        assert apply_swap(state, params, rng).nuclear is Nuclear.DOWN

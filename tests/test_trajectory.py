@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,11 +132,14 @@ class TestDeterminism:
         sigma = np.sqrt(a.total1.var() / a.n_shots + b.total1.var() / b.n_shots)
         assert abs(a.total1.mean() - b.total1.mean()) < 4 * sigma
 
-    def test_single_shot_replays_batch_record(self, protocol):
-        model = calibrated_shot_model()
-        batch = simulate_batch(model, protocol, Nuclear.UP, 500, master_seed=3,
-                               keep_cycles=True)
-        for i in (0, 17, 499):
+    @pytest.mark.parametrize("mode, shots", [("effective", 500),
+                                             ("microscopic", 40)],
+                             ids=["effective", "microscopic"])
+    def test_single_shot_replays_batch_record(self, protocol, mode, shots):
+        model = replace(calibrated_shot_model(), mode=mode)
+        batch = simulate_batch(model, protocol, Nuclear.UP, shots,
+                               master_seed=3, keep_cycles=True)
+        for i in (0, 17, shots - 1):
             rec = batch.record(i)
             replay = simulate_shot(model, protocol, Nuclear.UP, rec.seed)
             assert replay.total1 == rec.total1
@@ -152,6 +156,60 @@ class TestDeterminism:
             assert replay.total1 == rec.total1
             assert replay.total2 == rec.total2
             assert replay.counts_read2 == rec.counts_read2
+
+
+# Exact outputs of small fixed-seed batches: any change to the draw layout
+# of either mode shows here.
+GOLDEN = {
+    "standard": dict(
+        total1=[1, 1, 0, 4, 4, 1, 3, 9, 10, 4, 5, 14, 8, 1, 3, 9, 11, 14, 12,
+                7, 14, 0, 16, 13],
+        head1=[0, 1, 0, 2, 3, 1, 1, 0, 4, 4, 3, 6, 2, 1, 2, 4, 4, 5, 3, 4, 4,
+               0, 2, 6],
+        detect1=[6, 2, 6, 10, 3, 0, 7, 5, 5, 10, 2, 2, 7, 4, 3, 4, 2, 6, 7, 3,
+                 3, 3, 5, 4, 4, 2, 2, 0, 5, 2, 1, 3, 3, 2, 1, 0, 4, 2, 1, 3]),
+    "dual": dict(
+        total1=[0, 0, 0, 0, 1, 2, 8, 0, 9, 10, 0, 2, 0, 10, 11, 0, 2, 1, 0, 1,
+                10, 6, 3, 1],
+        head1=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 6, 0, 0, 1, 0, 0, 4,
+               0, 0, 1],
+        detect1=[2, 1, 0, 1, 2, 2, 1, 3, 0, 0, 2, 2, 3, 1, 3, 3, 1, 1, 2, 3, 0,
+                 1, 1, 0, 1, 0, 3, 3, 1, 3, 1, 2, 2, 2, 1, 1, 2, 3, 3, 1],
+        total2=[0, 9, 6, 13, 8, 17, 7, 16, 7, 8, 8, 9, 2, 3, 5, 13, 10, 5, 8,
+                16, 2, 9, 6, 11],
+        head2=[0, 2, 1, 6, 2, 4, 4, 3, 2, 4, 1, 1, 0, 1, 0, 2, 1, 1, 1, 6, 0,
+               6, 1, 2],
+        detect2=[4, 1, 3, 4, 5, 6, 6, 4, 3, 6, 6, 7, 7, 2, 6, 0, 2, 6, 5, 7, 6,
+                 4, 2, 5, 5, 5, 4, 3, 2, 5, 3, 3, 3, 6, 3, 3, 6, 3, 5, 4]),
+    "microscopic": dict(
+        total1=[0, 0, 0, 0, 0, 2, 0, 0, 2, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 1,
+                0, 3, 2],
+        detect1=[0, 1, 0, 1, 1, 1, 2, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0, 1, 0, 0, 2,
+                 0, 0, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_batch_matches_recorded_draws(params, kind):
+    # flips, init and charge errors all fire often enough to pin their draws
+    busy = ShotModel(lambda_bright=0.3, lambda_dark=0.02, flip_bd=0.02,
+                     flip_db=0.01, nuclear_init_error=0.2, charge_error=0.1)
+    if kind == "microscopic":
+        batch = simulate_batch(
+            replace(calibrated_shot_model(), mode="microscopic"),
+            build_standard_readout(params, cycles=25), Nuclear.UP, 24,
+            master_seed=1618, params=params)
+    elif kind == "dual":
+        batch = simulate_batch(busy, build_dual_step_readout(params, cycles=40),
+                               Nuclear.DOWN, 24, master_seed=3141,
+                               head_window=10)
+    else:
+        batch = simulate_batch(busy, build_standard_readout(params, cycles=40),
+                               Nuclear.UP, 24, master_seed=2718,
+                               head_window=10)
+    for name, expected in GOLDEN[kind].items():
+        np.testing.assert_array_equal(getattr(batch, name), expected,
+                                      err_msg=name)
 
 
 class TestDetectionCurve:
