@@ -418,9 +418,26 @@ def fidelity_report(batch_up: BatchResult, batch_dn: BatchResult,
     dual_step: the two-read rule; shots outside the bright/dark signature
         subspace are discarded and the kept fraction is the success
         efficiency, reported per preparation as well.
+
+    The batches must be up- and down-prepared runs of one protocol (and,
+    for conditional, share a head window); a mismatch raises
+    AnalysisError.
     """
     if batch_up.n_shots < 1 or batch_dn.n_shots < 1:
         raise AnalysisError("batches must be non-empty")
+    if (batch_up.prepared is not Nuclear.UP
+            or batch_dn.prepared is not Nuclear.DOWN):
+        raise AnalysisError(
+            f"expected up- and down-prepared batches, got "
+            f"{batch_up.prepared.value} and {batch_dn.prepared.value}")
+    fields = ["cycles", "reads_per_cycle", "protocol_fingerprint"]
+    if mode == "conditional":
+        fields.append("head_window")
+    for name in fields:
+        a, b = getattr(batch_up, name), getattr(batch_dn, name)
+        if a != b:
+            raise AnalysisError(f"batches differ in {name}: {a!r} (up) vs "
+                                f"{b!r} (down)")
     n_up, n_dn = batch_up.n_shots, batch_dn.n_shots
     cut = config.cutoff
 

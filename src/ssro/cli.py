@@ -141,14 +141,13 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _load_batches(in_dir):
-    paths = {name: os.path.join(in_dir, f"batch_{name}.jsonl")
-             for name in ("up", "down")}
-    missing = [p for p in paths.values() if not os.path.exists(p)]
+def _load_batches(in_dir, names=("up", "down")):
+    """The batch_<name>.jsonl files of in_dir, one per name, in order."""
+    paths = [os.path.join(in_dir, f"batch_{name}.jsonl") for name in names]
+    missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         raise ConfigError(f"missing batch file(s): {missing}")
-    return (BatchResult.load_jsonl(paths["up"]),
-            BatchResult.load_jsonl(paths["down"]))
+    return [BatchResult.load_jsonl(p) for p in paths]
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
@@ -184,7 +183,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 def cmd_fit_flip(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg, args.out)
     manifest = Manifest(out, "fit-flip", cfg)
-    batch_up, _ = _load_batches(args.in_dir or out)
+    batch_up, = _load_batches(args.in_dir or out, ("up",))
     fit = fit_flip_rate(batch_up.detect1, batch_up.n_shots)
     payload = dataclasses.asdict(fit)
     _write_json(manifest.path("flip_fit.json"), payload)

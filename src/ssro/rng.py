@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["shot_seed", "shot_seeds", "uniforms",
+__all__ = ["shot_seed", "shot_seeds", "uniforms", "poisson_kmax",
            "poisson_from_uniform", "geometric_from_uniform"]
 
 _U64 = np.uint64
@@ -45,12 +45,24 @@ def shot_seed(master_seed: int, shot_index: int) -> int:
     return int(shot_seeds(master_seed, np.array([shot_index]))[0])
 
 
-def uniforms(seeds: np.ndarray, draw_index: int) -> np.ndarray:
-    """Uniform [0, 1) draw number `draw_index` for each stream in `seeds`."""
+def uniforms(seeds: np.ndarray, draw_index) -> np.ndarray:
+    """Uniform [0, 1) draw number `draw_index` for each stream in `seeds`.
+
+    `draw_index` is an int or an array of non-negative ints that broadcasts
+    against `seeds`: ``uniforms(seeds[None, :], js[:, None])`` holds draw
+    ``js[k]`` of every stream in row k, identical to ``uniforms(seeds,
+    js[k])``.
+    """
     with np.errstate(over="ignore"):
         z = _finalize(np.asarray(seeds, dtype=np.uint64)
-                      + _U64((draw_index + 1) & 0xFFFFFFFFFFFFFFFF) * _GAMMA)
+                      + _U64(draw_index + 1) * _GAMMA)
     return _to_unit(z)
+
+
+def poisson_kmax(lam_max: float) -> int:
+    """Default count clamp of poisson_from_uniform for rates up to lam_max:
+    its 1e-14 upper quantile, with margin."""
+    return int(lam_max + 10.0 * np.sqrt(lam_max) + 20.0)
 
 
 def poisson_from_uniform(u: np.ndarray, lam: np.ndarray,
@@ -58,14 +70,14 @@ def poisson_from_uniform(u: np.ndarray, lam: np.ndarray,
     """Poisson counts by inverse CDF, one uniform per count.
 
     Works elementwise for arrays of matching shape.  Counts beyond `kmax`
-    (by default the 1e-14 upper quantile of the largest rate) are clamped;
-    for the per-window rates used here that tail is negligible.
+    (by default poisson_kmax of the largest rate) are clamped; for the
+    per-window rates used here that tail is negligible.  Each element's
+    count depends only on its own (u, lam) and on `kmax`.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
     if kmax is None:
-        m = float(lam.max(initial=0.0))
-        kmax = int(m + 10.0 * np.sqrt(m) + 20.0)
+        kmax = poisson_kmax(float(lam.max(initial=0.0)))
     out = np.zeros(u.shape, dtype=np.int64)
     cdf0 = np.exp(-lam)
     pending = np.flatnonzero((u >= cdf0).ravel())

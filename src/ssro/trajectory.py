@@ -16,6 +16,13 @@ pulses and derives the bright emission from the optical model.
 All randomness is drawn from counter-based per-shot streams (see rng), so
 batches are bit-reproducible for a given master seed under any chunking
 or worker schedule, and any record can be replayed from its shot seed.
+
+The effective sampler works on chunks of shots.  It draws the flip cycles
+per shot, then streams over blocks of cycles: each block's read uniforms
+come from one rng.uniforms call, and a state and a Poisson count are
+computed only for the few uniforms that can give a photon at either rate
+(about 3 % at the calibrated rates).  The counts equal those of a dense
+pass over every (shot, cycle) element; see _read_counts.
 """
 from __future__ import annotations
 
@@ -54,6 +61,7 @@ _MAX_FLIPS = 12
 _J_READ = _J_FLIP + _MAX_FLIPS
 
 _CHUNK = 16384
+_READ_BLOCK = 8       # cycles of read uniforms drawn per block
 
 
 @dataclass(frozen=True)
@@ -188,18 +196,23 @@ class BatchResult:
             detect1=self.detect1.tolist(),
             detect2=None if self.detect2 is None else self.detect2.tolist(),
         )
+        seeds = rng.shot_seeds(
+            self.master_seed, np.arange(self.n_shots, dtype=np.uint64)).tolist()
+        total1, head1 = self.total1.tolist(), self.head1.tolist()
+        if self.total2 is not None:
+            total2, head2 = self.total2.tolist(), self.head2.tolist()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header) + "\n")
             for i in range(self.n_shots):
                 rec = {
                     "shot": i,
-                    "seed": rng.shot_seed(self.master_seed, i),
-                    "total1": int(self.total1[i]),
-                    "head1": int(self.head1[i]),
+                    "seed": seeds[i],
+                    "total1": total1[i],
+                    "head1": head1[i],
                 }
                 if self.total2 is not None:
-                    rec["total2"] = int(self.total2[i])
-                    rec["head2"] = int(self.head2[i])
+                    rec["total2"] = total2[i]
+                    rec["head2"] = head2[i]
                 if full_cycles:
                     rec["counts1"] = self.counts1[i].tolist()
                     if self.counts2 is not None:
@@ -271,7 +284,15 @@ def _flip_cap_error(rate_cycled: float, rate_idle: float,
 
 def _simulate_chunk(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
                     seeds: np.ndarray, head_window: int, keep_cycles: bool):
-    """Vectorized effective-mode sampling of the shots with stream ``seeds``."""
+    """Vectorized effective-mode sampling of the shots with stream ``seeds``.
+
+    Draws the init and charge errors and each shot's flip cycles
+    (``bounds``: one array per flip index, the cycle of that flip or int64
+    max), then the read counts of each read window with _read_counts, a
+    block of _READ_BLOCK cycles at a time.  Returns a dict of total, head
+    and detect arrays per read, and the int16 per-cycle counts when
+    ``keep_cycles``; the read-2 entries are None for single-read protocols.
+    """
     n = len(seeds)
     cycles = protocol.cycles
     dual = protocol.dual
@@ -307,38 +328,91 @@ def _simulate_chunk(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
     if alive.any():
         raise _flip_cap_error(rate_cycled, rate_idle, cycles)
 
-    cyc = np.arange(1, cycles + 1, dtype=np.int64)
-    parity = np.zeros((n, cycles), dtype=np.int8)
-    for b in bounds:
-        parity += cyc[None, :] >= b[:, None]
-    bright_at = bright0[:, None] ^ (parity & 1).astype(bool)
-
-    active = ~charge_bad[:, None]
-    lam1 = np.where(bright_at & active, model.lambda_bright, model.lambda_dark)
-    u1 = np.empty((n, cycles))
-    for c in range(cycles):
-        u1[:, c] = rng.uniforms(seeds, _J_READ + c)
-    c1 = rng.poisson_from_uniform(u1, lam1)
-    out = dict(
-        total1=c1.sum(axis=1),
-        head1=c1[:, :head_window].sum(axis=1),
-        detect1=(c1 >= 1).sum(axis=0),
-        counts1=c1.astype(np.int16) if keep_cycles else None,
-        total2=None, head2=None, detect2=None, counts2=None,
-    )
-    if dual:
-        lam2 = np.where(~bright_at & active, model.lambda_bright, model.lambda_dark)
-        u2 = np.empty((n, cycles))
-        for c in range(cycles):
-            u2[:, c] = rng.uniforms(seeds, _J_READ + cycles + c)
-        c2 = rng.poisson_from_uniform(u2, lam2)
-        out.update(
-            total2=c2.sum(axis=1),
-            head2=c2[:, :head_window].sum(axis=1),
-            detect2=(c2 >= 1).sum(axis=0),
-            counts2=c2.astype(np.int16) if keep_cycles else None,
-        )
+    active = ~charge_bad
+    out = dict(total2=None, head2=None, detect2=None, counts2=None)
+    for r, start in enumerate((bright0, ~bright0) if dual else (bright0,)):
+        names = (f"total{r + 1}", f"head{r + 1}", f"detect{r + 1}",
+                 f"counts{r + 1}")
+        out.update(zip(names, _read_counts(
+            model, seeds, _J_READ + r * cycles, cycles, head_window, start,
+            bounds, active, keep_cycles)))
     return out
+
+
+def _states_present(start, bounds, cycles):
+    """Per shot, whether its boolean state is True / False in at least one
+    of cycles 1..cycles.  The state is ``start`` and toggles at each of the
+    shot's flip cycles ``bounds`` (a flip at cycle b takes effect from
+    cycle b on; each later flip falls strictly later)."""
+    far = np.iinfo(np.int64).max
+    first = bounds[0] if bounds else far
+    second = bounds[1] if len(bounds) > 1 else far
+    keeps = (first > 1) | (second <= cycles)
+    leaves = first <= cycles
+    return ((start & keeps) | (~start & leaves),
+            (~start & keeps) | (start & leaves))
+
+
+def _read_counts(model, seeds, first_draw, cycles, head_window, bright0,
+                 bounds, active, keep_cycles):
+    """Photon counts of one read window per cycle, as (total, head, detect,
+    counts or None).
+
+    Shot i is bright at cycle c (1-based) when ``bright0[i]`` xor the
+    parity of its flip cycles ``bounds`` <= c; it emits at lambda_bright
+    when bright and ``active[i]``, else at lambda_dark, and cycle c uses
+    draw ``first_draw + c - 1`` of its stream.
+
+    The reads are drawn _READ_BLOCK cycles at a time, with one
+    rng.uniforms call per block.  A uniform below both exp(-lambda_bright)
+    and exp(-lambda_dark) is a zero count in either state, because
+    poisson_from_uniform returns 0 wherever u < exp(-lam).  Only the
+    candidates, u >= ``cut``, get a state and a Poisson count.  ``cut``
+    lies a relative 1e-12 below the smaller exp(-lam), far more than any
+    rounding difference between exp of a scalar here and exp of the rate
+    array inside poisson_from_uniform, so no element that could count is
+    dropped.  Each candidate's count is a function of its own (u, lam) and
+    of ``kmax`` alone; ``kmax`` is the default clamp of the largest rate a
+    dense pass over all (shot, cycle) elements would hold, found per shot
+    from the states it takes (_states_present).  The counts therefore equal
+    those of one poisson_from_uniform call on the dense arrays, clamping
+    included.
+    """
+    n = len(seeds)
+    lam_on, lam_off = model.lambda_bright, model.lambda_dark
+    has_on, has_off = _states_present(bright0, bounds, cycles)
+    kmax = rng.poisson_kmax(max(lam_on if (active & has_on).any() else 0.0,
+                                lam_off if (~active | has_off).any() else 0.0))
+    cut = np.exp(-max(lam_on, lam_off)) * (1.0 - 1e-12)
+
+    row = seeds[None, :]
+    hits = []
+    for c0 in range(0, cycles, _READ_BLOCK):
+        draws = np.arange(first_draw + c0,
+                          first_draw + min(c0 + _READ_BLOCK, cycles))
+        u = rng.uniforms(row, draws[:, None]).ravel()
+        cand = np.flatnonzero(u >= cut)
+        cycle, shot = np.divmod(cand, n)
+        cycle += c0 + 1
+        bright = bright0[shot]
+        for b in bounds:
+            bright ^= cycle >= b[shot]
+        lam = np.where(bright & active[shot], lam_on, lam_off)
+        k = rng.poisson_from_uniform(u[cand], lam, kmax)
+        hit = k > 0
+        hits.append((shot[hit], cycle[hit], k[hit]))
+
+    shot, cycle, k = (np.concatenate(x) for x in zip(*hits))
+    early = cycle <= head_window
+    total = np.bincount(shot, weights=k, minlength=n).astype(np.int64)
+    head = np.bincount(shot[early], weights=k[early],
+                       minlength=n).astype(np.int64)
+    detect = np.bincount(cycle - 1, minlength=cycles)
+    counts = None
+    if keep_cycles:
+        counts = np.zeros((n, cycles), dtype=np.int16)
+        counts[shot, cycle - 1] = k
+    return total, head, detect, counts
 
 
 def simulate_shot(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,

@@ -221,6 +221,44 @@ class TestFidelityReport:
         with pytest.raises(AnalysisError, match="mode"):
             fidelity_report(up, dn, mode="bayesian")
 
+    def test_swapped_preparations_rejected(self, batches):
+        up, dn = batches
+        for pair in ((dn, up), (up, up), (dn, dn)):
+            with pytest.raises(AnalysisError, match="up- and down-prepared"):
+                fidelity_report(*pair, mode="raw")
+
+    @pytest.mark.parametrize("mode", ["raw", "conditional", "dual_step"])
+    def test_mismatched_protocols_rejected(self, cal, params, mode):
+        std = build_standard_readout(params, cycles=60)
+        up = simulate_batch(cal, build_dual_step_readout(params, cycles=60),
+                            Nuclear.UP, 200, master_seed=1)
+        cases = {
+            "cycles": build_dual_step_readout(params, cycles=61),
+            "reads_per_cycle": std,
+        }
+        for field, protocol in cases.items():
+            dn = simulate_batch(cal, protocol, Nuclear.DOWN, 200,
+                                master_seed=2)
+            with pytest.raises(AnalysisError, match=f"differ in {field}"):
+                fidelity_report(up, dn, mode=mode)
+        dn = simulate_batch(cal, build_dual_step_readout(params, cycles=60),
+                            Nuclear.DOWN, 200, master_seed=2)
+        dn.protocol_fingerprint = "0" * 16
+        with pytest.raises(AnalysisError,
+                           match="differ in protocol_fingerprint"):
+            fidelity_report(up, dn, mode=mode)
+
+    def test_mismatched_head_window_rejected_for_conditional(self, cal,
+                                                            protocol):
+        up = simulate_batch(cal, protocol, Nuclear.UP, 2000, master_seed=1,
+                            head_window=60, keep_cycles=True)
+        dn = simulate_batch(cal, protocol, Nuclear.DOWN, 2000, master_seed=2,
+                            keep_cycles=True)
+        with pytest.raises(AnalysisError, match="differ in head_window"):
+            fidelity_report(up, dn, mode="conditional")
+        # the raw read ignores the head counts
+        fidelity_report(up, dn, mode="raw")
+
     def test_report_invariant_validation(self):
         with pytest.raises(AnalysisError):
             FidelityReport(mode="raw", misread_bright_as_dark=0.1,

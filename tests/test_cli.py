@@ -190,6 +190,16 @@ class TestSmallCommands:
         assert lo < payload["flip_rate"] < hi
 
 
+    def test_fit_flip_needs_only_the_up_batch(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--shots", "200", "--seed", "9",
+                     "--prepared", "up", "--out", out]) == 0
+        assert main(["fit-flip", "--in", out, "--out", out]) == 0
+        assert os.path.exists(os.path.join(out, "flip_fit.json"))
+        # analyze still needs both preparations
+        assert main(["analyze", "--in", out, "--out", out]) == 2
+
+
 class TestReproducePipeline:
     def test_summary_matches_reference(self, tmp_path):
         out = str(tmp_path / "repro")

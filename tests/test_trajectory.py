@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ssro import rng
 from ssro.analysis import exact_count_pmf
 from ssro.model import Nuclear, PhysicalParams
 from ssro.protocol import build_dual_step_readout, build_standard_readout
@@ -289,6 +290,19 @@ class TestRecordsAndSerialization:
         np.testing.assert_array_equal(loaded.detect1, batch.detect1)
         assert loaded.prepared is Nuclear.UP
         assert loaded.model_fingerprint == batch.model_fingerprint
+
+    def test_jsonl_seeds_are_shot_seeds(self, dual_protocol, tmp_path):
+        batch = simulate_batch(calibrated_shot_model(), dual_protocol,
+                               Nuclear.UP, 300, master_seed=2**64 - 5)
+        path = tmp_path / "batch.jsonl"
+        batch.save_jsonl(path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 300
+        for shot, line in enumerate(lines):
+            rec = json.loads(line)
+            assert rec["shot"] == shot
+            assert rec["seed"] == rng.shot_seed(batch.master_seed, shot)
+            assert rec["total2"] == batch.total2[shot]
 
     def test_jsonl_full_cycles(self, protocol, tmp_path):
         model = calibrated_shot_model()
