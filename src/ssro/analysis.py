@@ -17,7 +17,8 @@ from scipy.stats import chi2, poisson
 
 from .model import Nuclear
 from .protocol import ProtocolSpec, build_standard_readout
-from .trajectory import BatchResult, ShotModel, DEFAULT_CONDITIONAL_WINDOW
+from .trajectory import (BatchResult, ShotModel, DEFAULT_CONDITIONAL_WINDOW,
+                         _LAMBDA_MAX)
 
 __all__ = [
     "CountHistogram",
@@ -448,7 +449,7 @@ def fidelity_report(batch_up: BatchResult, batch_dn: BatchResult,
                        n_up + n_dn, 0, config)
 
     if mode == "conditional":
-        window = config.window
+        window = min(config.window, batch_up.cycles)
         if window != batch_up.head_window or window != batch_dn.head_window:
             if batch_up.counts1 is None or batch_dn.counts1 is None:
                 raise AnalysisError(
@@ -777,6 +778,10 @@ def fit_shot_model(targets: FitTargets = REFERENCE_TARGETS,
     weights = list(targets.weights[:len(goals)])
 
     base = targets.mean_bright / cycles
+    if 4 * base > _LAMBDA_MAX:
+        raise AnalysisError(
+            f"mean_bright {targets.mean_bright:g} over {cycles} cycles needs "
+            f"more than {_LAMBDA_MAX / 4:g} photons per read window to fit")
     x0 = [base, 0.1 * targets.mean_dark / cycles, 0.05, 0.1]
     lower = [base / 4, 0.0, 0.0, 0.0]
     upper = [base * 4, 0.05, 0.5, 0.5]
@@ -877,7 +882,17 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
     post-selection window.
     """
     overrides = dict(overrides or {})
-    cycles = int(overrides.pop("cycles", protocol.cycles))
+    given = ", ".join(f"{k}={v!r}" for k, v in overrides.items())
+    for key, value in overrides.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise AnalysisError(f"override {key}={value!r} is not a finite "
+                                f"number")
+    cycles = overrides.pop("cycles", protocol.cycles)
+    if cycles < 1 or cycles != int(cycles):
+        raise AnalysisError(f"override cycles={cycles!r} must be an integer "
+                            f">= 1")
+    cycles = int(cycles)
     fields = model.to_dict()
     for key in list(overrides):
         if key.endswith("_scale"):
@@ -892,7 +907,11 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
     if readout_only:
         fields["nuclear_init_error"] = 0.0
         fields["charge_error"] = 0.0
-    mod = ShotModel(**fields)
+    try:
+        mod = ShotModel(**fields)
+    except ValueError as exc:
+        raise AnalysisError(f"overrides {given} give an invalid model: "
+                            f"{exc}") from exc
 
     per_cycle_us = (protocol.readout_duration_us() / protocol.cycles)
     if duration_budget_ms is not None:

@@ -58,13 +58,14 @@ def _sha256(path) -> str:
 class Manifest:
     """Collects outputs and summary numbers; written atomically at the end."""
 
-    def __init__(self, out_dir, command, config: RunConfig):
-        self.out_dir = out_dir
+    def __init__(self, cfg: RunConfig, args):
+        self.out_dir = args.out or cfg.run.out
+        os.makedirs(self.out_dir, exist_ok=True)
         self.data = {
             "artifact_version": __version__,
-            "command": command,
+            "command": args.command,
             "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "config": config.to_dict(),
+            "config": cfg.to_dict(),
             "outputs": {},
             "summary": {},
         }
@@ -72,7 +73,10 @@ class Manifest:
     def path(self, name):
         return os.path.join(self.out_dir, name)
 
-    def register(self, name):
+    def add(self, name, write, *args, **kwargs):
+        """Write output ``name`` with ``write(path, *args, **kwargs)`` and
+        record its SHA-256."""
+        write(self.path(name), *args, **kwargs)
         self.data["outputs"][name] = _sha256(self.path(name))
 
     def add_summary(self, **kwargs):
@@ -95,50 +99,80 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _prepare_out(cfg: RunConfig, override=None) -> str:
-    out = override or cfg.run.out
-    os.makedirs(out, exist_ok=True)
-    return out
+def _write_columns(path, columns, header, **kwargs):
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+               comments="", **kwargs)
 
 
-# One fixed label per batch stream: each batch's master seed is
-# rng.shot_seed(seed, label), so the batches of neighbouring seeds, and of
-# one run, draw from unrelated shot streams.
-_STREAMS = {"up": 0, "down": 1, "decay": 2, "dual_up": 3, "dual_down": 4}
+def _shots_and_seed(cfg: RunConfig, args):
+    return (args.shots or cfg.run.shots,
+            cfg.run.seed if args.seed is None else args.seed)
 
 
-def _simulate_pair(cfg: RunConfig, protocol, shots, seed, prepared="both"):
-    batches = {}
-    worklist = {"up": Nuclear.UP, "down": Nuclear.DOWN}
-    if prepared != "both":
-        worklist = {prepared: worklist[prepared]}
-    for name, state in worklist.items():
-        batches[name] = simulate_batch(
-            cfg.shot_model, protocol, state, shots,
-            rng.shot_seed(seed, _STREAMS[name]),
-            keep_cycles=cfg.run.full_cycles,
-            n_workers=cfg.run.workers)
-    return batches
+# One fixed label per batch stream, with its prepared state: each batch's
+# master seed is rng.shot_seed(seed, stream), so the batches of
+# neighbouring seeds, and of one run, draw from unrelated shot streams.
+_STREAMS = {"up": (Nuclear.UP, 0), "down": (Nuclear.DOWN, 1),
+            "decay": (Nuclear.UP, 2), "dual_up": (Nuclear.UP, 3),
+            "dual_down": (Nuclear.DOWN, 4)}
+
+
+def _simulate(cfg: RunConfig, protocol, label, shots, seed,
+              keep_cycles=False) -> BatchResult:
+    """The batch of stream ``label``; the only place a config becomes a
+    batch."""
+    prepared, stream = _STREAMS[label]
+    return simulate_batch(
+        cfg.shot_model, protocol, prepared, shots, rng.shot_seed(seed, stream),
+        keep_cycles=keep_cycles,
+        head_window=min(cfg.classifier.window, protocol.cycles),
+        n_workers=cfg.run.workers, params=cfg.physical, optical=cfg.optical)
+
+
+def _simulate_pair(cfg: RunConfig, protocol, shots, seed, prepared="both",
+                   prefix="", keep_cycles=False):
+    names = ("up", "down") if prepared == "both" else (prepared,)
+    return {name: _simulate(cfg, protocol, prefix + name, shots, seed,
+                            keep_cycles)
+            for name in names}
+
+
+def _save_batches(manifest: Manifest, batches, full_cycles=False):
+    for name, batch in batches.items():
+        manifest.add(f"batch_{name}.jsonl", batch.save_jsonl,
+                     full_cycles=full_cycles)
+
+
+def _refit_optical():
+    """Pump rates refitted for >= 98.5 % pumping within the 1.5 us window,
+    collection scaled to 0.028 detected photons per window."""
+    optical = fit_pump_rates(PumpTarget(time_us=1.5, min_fidelity=0.985))
+    return calibrate_collection(optical, target_photons=0.028,
+                                laser_window_us=1.5)
+
+
+def _odmr(manifest: Manifest, cfg: RunConfig, populations, grid):
+    spectrum = odmr_spectrum(cfg.physical, default_diagram(), populations,
+                             grid)
+    manifest.add("odmr_spectrum.csv", _write_columns, [grid, spectrum],
+                 "frequency_mhz,intensity")
+    return spectrum
 
 
 # --- subcommands -------------------------------------------------------------
+#
+# Each takes the config, the parsed arguments and the run's manifest, which
+# main writes once the command returns.
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "simulate", cfg)
-    protocol = cfg.protocol.build()
-    batches = _simulate_pair(cfg, protocol, args.shots or cfg.run.shots,
-                             args.seed if args.seed is not None else cfg.run.seed,
-                             args.prepared)
-    for name, batch in batches.items():
-        fname = f"batch_{name}.jsonl"
-        batch.save_jsonl(manifest.path(fname), full_cycles=cfg.run.full_cycles)
-        manifest.register(fname)
-        manifest.add_summary(**{f"mean_total1_{name}": float(batch.total1.mean())})
-    manifest.write()
-    print(f"wrote {len(batches)} batch file(s) to {out}")
-    return EXIT_OK
+def cmd_simulate(cfg: RunConfig, args, manifest: Manifest):
+    batches = _simulate_pair(cfg, cfg.protocol.build(),
+                             *_shots_and_seed(cfg, args), args.prepared,
+                             keep_cycles=cfg.run.full_cycles)
+    _save_batches(manifest, batches, cfg.run.full_cycles)
+    manifest.add_summary(**{f"mean_total1_{name}": float(batch.total1.mean())
+                            for name, batch in batches.items()})
+    print(f"wrote {len(batches)} batch file(s) to {manifest.out_dir}")
 
 
 def _load_batches(in_dir, names=("up", "down")):
@@ -150,54 +184,39 @@ def _load_batches(in_dir, names=("up", "down")):
     return [BatchResult.load_jsonl(p) for p in paths]
 
 
-def cmd_analyze(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "analyze", cfg)
-    batch_up, batch_dn = _load_batches(args.in_dir or out)
+def cmd_analyze(cfg: RunConfig, args, manifest: Manifest):
+    batch_up, batch_dn = _load_batches(args.in_dir or manifest.out_dir)
     mode = args.mode.replace("-", "_")
     if mode == "dual_step" and batch_up.reads_per_cycle != 2:
         raise ConfigError("dual-step analysis requested but the batches "
                           "carry a single read per cycle")
     report = fidelity_report(batch_up, batch_dn, cfg.classifier, mode=mode)
-    _write_json(manifest.path(f"report_{mode}.json"), report.to_dict())
-    manifest.register(f"report_{mode}.json")
-    hist = CountHistogram.from_batches(batch_up, batch_dn)
-    hist.to_csv(manifest.path("histogram.csv"))
-    manifest.register("histogram.csv")
+    manifest.add(f"report_{mode}.json", _write_json, report.to_dict())
+    manifest.add("histogram.csv",
+                 CountHistogram.from_batches(batch_up, batch_dn).to_csv)
     if batch_up.reads_per_cycle == 2:
-        joint = JointHistogram.from_batches(batch_up, batch_dn)
-        joint.to_csv(manifest.path("joint_histogram.csv"))
-        manifest.register("joint_histogram.csv")
+        manifest.add("joint_histogram.csv",
+                     JointHistogram.from_batches(batch_up, batch_dn).to_csv)
     manifest.add_summary(average_fidelity=report.average_fidelity,
                          misread_bright_as_dark=report.misread_bright_as_dark,
                          misread_dark_as_bright=report.misread_dark_as_bright,
                          success_efficiency=report.success_efficiency)
-    manifest.write()
     print(f"{mode}: fidelity {report.average_fidelity:.4f} "
           f"(rates {report.misread_bright_as_dark:.4f} / "
           f"{report.misread_dark_as_bright:.4f}, "
           f"efficiency {report.success_efficiency:.4f})")
-    return EXIT_OK
 
 
-def cmd_fit_flip(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "fit-flip", cfg)
-    batch_up, = _load_batches(args.in_dir or out, ("up",))
+def cmd_fit_flip(cfg: RunConfig, args, manifest: Manifest):
+    batch_up, = _load_batches(args.in_dir or manifest.out_dir, ("up",))
     fit = fit_flip_rate(batch_up.detect1, batch_up.n_shots)
-    payload = dataclasses.asdict(fit)
-    _write_json(manifest.path("flip_fit.json"), payload)
-    manifest.register("flip_fit.json")
+    manifest.add("flip_fit.json", _write_json, dataclasses.asdict(fit))
     manifest.add_summary(flip_rate=fit.flip_rate, ci68=list(fit.ci68))
-    manifest.write()
     print(f"flip rate {fit.flip_rate:.3e} (68 % CI "
           f"[{fit.ci68[0]:.3e}, {fit.ci68[1]:.3e}])")
-    return EXIT_OK
 
 
-def cmd_fit_model(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "fit-model", cfg)
+def cmd_fit_model(cfg: RunConfig, args, manifest: Manifest):
     if args.targets:
         with open(args.targets, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -210,110 +229,81 @@ def cmd_fit_model(cfg: RunConfig, args) -> int:
         targets = REFERENCE_TARGETS
     model = fit_shot_model(targets, cycles=cfg.protocol.cycles,
                            config=cfg.classifier)
-    _write_json(manifest.path("shot_model.json"), model.to_dict())
-    manifest.register("shot_model.json")
+    manifest.add("shot_model.json", _write_json, model.to_dict())
     manifest.add_summary(**model.to_dict())
-    manifest.write()
     print(json.dumps(model.to_dict(), indent=2, sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_odmr(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "odmr", cfg)
+def cmd_odmr(cfg: RunConfig, args, manifest: Manifest):
     populations = tuple(float(x) for x in args.populations.split(","))
     if len(populations) != 2:
         raise UsageError("--populations needs two comma-separated numbers")
     span = 1.5 * cfg.physical.hyperfine_splitting
     grid = np.arange(-span, span + args.step / 2, args.step)
-    spectrum = odmr_spectrum(cfg.physical, default_diagram(), populations, grid)
-    data = np.column_stack([grid, spectrum])
-    np.savetxt(manifest.path("odmr_spectrum.csv"), data, delimiter=",",
-               header="frequency_mhz,intensity", comments="")
-    manifest.register("odmr_spectrum.csv")
+    spectrum = _odmr(manifest, cfg, populations, grid)
     separation = estimate_peak_separation(grid, spectrum) \
         if min(populations) > 0 else None
     manifest.add_summary(peak_separation_mhz=separation)
-    manifest.write()
     if separation is not None:
         print(f"peak separation {separation:.3f} MHz")
-    return EXIT_OK
 
 
-def cmd_pump(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "pump", cfg)
-    optical = cfg.optical
-    if args.refit:
-        optical = fit_pump_rates(PumpTarget(time_us=1.5, min_fidelity=0.985))
-        optical = calibrate_collection(optical, target_photons=0.028,
-                                       laser_window_us=1.5)
+def cmd_pump(cfg: RunConfig, args, manifest: Manifest):
+    optical = _refit_optical() if args.refit else cfg.optical
     curve = propagate(optical, args.duration, start=None)
-    curve.to_csv(manifest.path("pump_curve.csv"))
-    manifest.register("pump_curve.csv")
-    _write_json(manifest.path("optical_model.json"), optical.to_dict())
-    manifest.register("optical_model.json")
+    manifest.add("pump_curve.csv", curve.to_csv)
+    manifest.add("optical_model.json", _write_json, optical.to_dict())
     fid = curve.pump_fidelity(min(1.5, args.duration))
     photons = expected_cycle_photons(optical, cfg.protocol.laser_window_us)
     manifest.add_summary(pump_fidelity_at_1p5us=fid,
                          expected_cycle_photons=photons)
-    manifest.write()
     print(f"pump fidelity at 1.5 us: {fid:.4f}; "
           f"expected photons per window: {photons:.4f}")
-    return EXIT_OK
 
 
-def cmd_optimize_threshold(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "optimize-threshold", cfg)
+def cmd_optimize_threshold(cfg: RunConfig, args, manifest: Manifest):
     pmf_up = exact_count_pmf(cfg.shot_model, cfg.protocol.cycles, Nuclear.UP)
     pmf_dn = exact_count_pmf(cfg.shot_model, cfg.protocol.cycles, Nuclear.DOWN)
     best_n, best_fid = optimize_threshold(pmf_up, pmf_dn)
     payload = dict(best_cutoff=best_n, fidelity=best_fid)
-    _write_json(manifest.path("threshold.json"), payload)
-    manifest.register("threshold.json")
+    manifest.add("threshold.json", _write_json, payload)
     manifest.add_summary(**payload)
-    manifest.write()
     print(f"optimal cutoff N = {best_n} (fidelity {best_fid:.4f})")
-    return EXIT_OK
 
 
-def cmd_scenario(cfg: RunConfig, args) -> int:
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "scenario", cfg)
+def cmd_scenario(cfg: RunConfig, args, manifest: Manifest):
     overrides = {}
     for item in args.override or []:
         if "=" not in item:
             raise UsageError(f"--override needs key=value, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = json.loads(value)
-    protocol = cfg.protocol.build()
-    report = scenario(cfg.shot_model, protocol, overrides=overrides,
-                      duration_budget_ms=args.budget_ms,
+        try:
+            overrides[key.strip()] = json.loads(value)
+        except json.JSONDecodeError:
+            raise UsageError(f"--override value is not a number: {item!r}")
+    report = scenario(cfg.shot_model, cfg.protocol.build(),
+                      overrides=overrides, duration_budget_ms=args.budget_ms,
                       config=cfg.classifier)
-    _write_json(manifest.path("scenario.json"), report.to_dict())
-    manifest.register("scenario.json")
+    manifest.add("scenario.json", _write_json, report.to_dict())
     manifest.add_summary(
         optimized_fidelity=report.optimized_fidelity,
         conditional_fidelity=report.conditional_fidelity,
         cycles=report.cycles,
         readout_duration_us=report.readout_duration_us)
-    manifest.write()
     print(f"cycles {report.cycles} (readout {report.readout_duration_us:.0f} us): "
           f"threshold-optimized fidelity {report.optimized_fidelity:.4f}, "
           f"conditional fidelity {report.conditional_fidelity:.4f}")
-    return EXIT_OK
 
 
 _REFERENCE_SUMMARY = {
-    "mean_bright": 6.24,
-    "mean_dark": 0.40,
+    "mean_bright": REFERENCE_TARGETS.mean_bright,
+    "mean_dark": REFERENCE_TARGETS.mean_dark,
     "raw_fidelity": 0.8805,
-    "raw_bright_as_dark": 0.191,
-    "raw_dark_as_bright": 0.048,
+    "raw_bright_as_dark": REFERENCE_TARGETS.rate_bright_as_dark,
+    "raw_dark_as_bright": REFERENCE_TARGETS.rate_dark_as_bright,
     "conditional_fidelity": 0.9815,
-    "conditional_bright_as_dark": 0.028,
-    "conditional_dark_as_bright": 0.009,
+    "conditional_bright_as_dark": REFERENCE_TARGETS.cond_bright_as_dark,
+    "conditional_dark_as_bright": REFERENCE_TARGETS.cond_dark_as_bright,
     "dual_fidelity": 0.995,
     "dual_success_efficiency": 0.898,
     "flip_rate": 7.7e-4,
@@ -324,41 +314,29 @@ _REFERENCE_SUMMARY = {
 }
 
 
-def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
+def cmd_reproduce_paper(cfg: RunConfig, args, manifest: Manifest):
     """Full offline pipeline against the reference summary statistics."""
-    out = _prepare_out(cfg, args.out)
-    manifest = Manifest(out, "reproduce-paper", cfg)
-    shots = args.shots or cfg.run.shots
-    seed = args.seed if args.seed is not None else cfg.run.seed
+    shots, seed = _shots_and_seed(cfg, args)
     got = {}
 
     # 1. optical pumping
-    optical = fit_pump_rates(PumpTarget(time_us=1.5, min_fidelity=0.985))
-    optical = calibrate_collection(optical, target_photons=0.028,
-                                   laser_window_us=1.5)
+    optical = _refit_optical()
     curve = propagate(optical, 5.0)
-    curve.to_csv(manifest.path("pump_curve.csv"))
-    manifest.register("pump_curve.csv")
+    manifest.add("pump_curve.csv", curve.to_csv)
     got["pump_fidelity"] = curve.pump_fidelity(1.5)
     got["expected_cycle_photons"] = expected_cycle_photons(optical, 1.5)
 
     # 2. shot-model calibration
     model = fit_shot_model(REFERENCE_TARGETS, cycles=cfg.protocol.cycles,
                            config=cfg.classifier)
-    _write_json(manifest.path("shot_model.json"), model.to_dict())
-    manifest.register("shot_model.json")
+    manifest.add("shot_model.json", _write_json, model.to_dict())
     cfg = dataclasses.replace(cfg, shot_model=model, optical=optical)
 
     # 3. spectra
-    diagram = default_diagram()
     pops = (cfg.physical.nuclear_init_fidelity,
             1 - cfg.physical.nuclear_init_fidelity)
     grid = np.arange(-6.0, 6.0 + 0.05, 0.1)
-    spec = odmr_spectrum(cfg.physical, diagram, pops, grid)
-    np.savetxt(manifest.path("odmr_spectrum.csv"),
-               np.column_stack([grid, spec]), delimiter=",",
-               header="frequency_mhz,intensity", comments="")
-    manifest.register("odmr_spectrum.csv")
+    spec = _odmr(manifest, cfg, pops, grid)
     got["odmr_separation_mhz"] = estimate_peak_separation(grid, spec)
     half = len(grid) // 2
     got["odmr_ratio"] = float(spec[:half].max() / spec[half:].max()) \
@@ -368,93 +346,60 @@ def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
     # 4. flip decay over 1000 cycles: over 500 the baseline and the rate
     # are confounded and the fit is about 5x less precise
     decay_protocol = dataclasses.replace(cfg.protocol, cycles=1000).build()
-    decay_batch = simulate_batch(model, decay_protocol, Nuclear.UP,
-                                 shots, rng.shot_seed(seed, _STREAMS["decay"]),
-                                 n_workers=cfg.run.workers)
-    p = decay_batch.detect1 / shots
-    np.savetxt(manifest.path("detection_curve.csv"),
-               np.column_stack([np.arange(1, decay_protocol.cycles + 1), p]),
-               delimiter=",",
-               header="cycle,detection_probability", comments="")
-    manifest.register("detection_curve.csv")
-    flip_fit = fit_flip_rate(decay_batch.detect1, shots)
-    got["flip_rate"] = flip_fit.flip_rate
+    decay_batch = _simulate(cfg, decay_protocol, "decay", shots, seed)
+    manifest.add("detection_curve.csv", _write_columns,
+                 [np.arange(1, decay_protocol.cycles + 1),
+                  decay_batch.detect1 / shots],
+                 "cycle,detection_probability")
+    got["flip_rate"] = fit_flip_rate(decay_batch.detect1, shots).flip_rate
 
     # 5. single-read batches + reports
-    protocol = cfg.protocol.build()
-    batches = _simulate_pair(cfg, protocol, shots, seed)
-    for name, batch in batches.items():
-        fname = f"batch_{name}.jsonl"
-        batch.save_jsonl(manifest.path(fname))
-        manifest.register(fname)
-    got["mean_bright"] = float(batches["up"].total1.mean())
-    got["mean_dark"] = float(batches["down"].total1.mean())
-    hist = CountHistogram.from_batches(batches["up"], batches["down"])
-    hist.to_csv(manifest.path("histogram_raw.csv"))
-    manifest.register("histogram_raw.csv")
-
-    raw = fidelity_report(batches["up"], batches["down"], cfg.classifier, "raw")
-    cond = fidelity_report(batches["up"], batches["down"], cfg.classifier,
-                           "conditional")
-    got["raw_fidelity"] = raw.average_fidelity
-    got["raw_bright_as_dark"] = raw.misread_bright_as_dark
-    got["raw_dark_as_bright"] = raw.misread_dark_as_bright
-    got["conditional_fidelity"] = cond.average_fidelity
-    got["conditional_bright_as_dark"] = cond.misread_bright_as_dark
-    got["conditional_dark_as_bright"] = cond.misread_dark_as_bright
-    for mode, rep in (("raw", raw), ("conditional", cond)):
-        _write_json(manifest.path(f"report_{mode}.json"), rep.to_dict())
-        manifest.register(f"report_{mode}.json")
+    batches = _simulate_pair(cfg, cfg.protocol.build(), shots, seed)
+    _save_batches(manifest, batches)
+    up, dn = batches["up"], batches["down"]
+    got["mean_bright"] = float(up.total1.mean())
+    got["mean_dark"] = float(dn.total1.mean())
+    manifest.add("histogram_raw.csv",
+                 CountHistogram.from_batches(up, dn).to_csv)
+    for mode in ("raw", "conditional"):
+        rep = fidelity_report(up, dn, cfg.classifier, mode)
+        manifest.add(f"report_{mode}.json", _write_json, rep.to_dict())
+        got[f"{mode}_fidelity"] = rep.average_fidelity
+        got[f"{mode}_bright_as_dark"] = rep.misread_bright_as_dark
+        got[f"{mode}_dark_as_bright"] = rep.misread_dark_as_bright
 
     # conditional histogram of kept shots
-    keep_up = batches["up"].head1 >= 1
-    keep_dn = batches["down"].head1 == 0
-    top = int(max(batches["up"].total1.max(), batches["down"].total1.max())) + 1
-    np.savetxt(
-        manifest.path("histogram_conditional.csv"),
-        np.column_stack([
-            np.arange(top),
-            np.bincount(batches["up"].total1[keep_up], minlength=top),
-            np.bincount(batches["down"].total1[keep_dn], minlength=top)]),
-        fmt="%d", delimiter=",",
-        header="bin,count_up_prepared,count_dn_prepared", comments="")
-    manifest.register("histogram_conditional.csv")
+    top = int(max(up.total1.max(), dn.total1.max())) + 1
+    manifest.add("histogram_conditional.csv", _write_columns,
+                 [np.arange(top),
+                  np.bincount(up.total1[up.head1 >= 1], minlength=top),
+                  np.bincount(dn.total1[dn.head1 == 0], minlength=top)],
+                 "bin,count_up_prepared,count_dn_prepared", fmt="%d")
 
     # 6. dual-step batches + report
-    dual_cfg = dataclasses.replace(cfg.protocol, kind="dual")
-    dual_protocol = dual_cfg.build()
-    dual_up = simulate_batch(model, dual_protocol, Nuclear.UP, shots,
-                             rng.shot_seed(seed, _STREAMS["dual_up"]),
-                             n_workers=cfg.run.workers)
-    dual_dn = simulate_batch(model, dual_protocol, Nuclear.DOWN, shots,
-                             rng.shot_seed(seed, _STREAMS["dual_down"]),
-                             n_workers=cfg.run.workers)
-    joint = JointHistogram.from_batches(dual_up, dual_dn)
-    joint.to_csv(manifest.path("joint_histogram.csv"))
-    manifest.register("joint_histogram.csv")
-    dual = fidelity_report(dual_up, dual_dn, cfg.classifier, "dual_step")
-    _write_json(manifest.path("report_dual.json"), dual.to_dict())
-    manifest.register("report_dual.json")
-    got["dual_fidelity"] = dual.average_fidelity
-    got["dual_success_efficiency"] = dual.success_efficiency
+    dual = _simulate_pair(
+        cfg, dataclasses.replace(cfg.protocol, kind="dual").build(), shots,
+        seed, prefix="dual_")
+    manifest.add("joint_histogram.csv",
+                 JointHistogram.from_batches(dual["up"], dual["down"]).to_csv)
+    rep = fidelity_report(dual["up"], dual["down"], cfg.classifier,
+                          "dual_step")
+    manifest.add("report_dual.json", _write_json, rep.to_dict())
+    got["dual_fidelity"] = rep.average_fidelity
+    got["dual_success_efficiency"] = rep.success_efficiency
 
     # 7. summary table
-    rows = []
-    for key, ref in _REFERENCE_SUMMARY.items():
-        val = got.get(key)
-        rows.append((key, ref, val))
-    summary = {k: dict(reference=r, simulated=v) for k, r, v in rows}
-    _write_json(manifest.path("summary.json"), summary)
-    manifest.register("summary.json")
-    manifest.add_summary(**{k: v for k, _, v in rows})
-    manifest.write()
+    summary = {k: dict(reference=r, simulated=got.get(k))
+               for k, r in _REFERENCE_SUMMARY.items()}
+    manifest.add("summary.json", _write_json, summary)
+    manifest.add_summary(**{k: got.get(k) for k in _REFERENCE_SUMMARY})
 
     width = max(len(k) for k in _REFERENCE_SUMMARY)
     print(f"{'statistic':<{width}}  {'reference':>10}  {'simulated':>10}")
-    for key, ref, val in rows:
+    for key, ref in _REFERENCE_SUMMARY.items():
+        val = got.get(key)
         val_s = "-" if val is None else f"{val:10.4g}"
         print(f"{key:<{width}}  {ref:>10.4g}  {val_s:>10}")
-    return EXIT_OK
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -548,7 +493,10 @@ def main(argv=None) -> int:
         if getattr(args, "full_cycles", False):
             cfg = dataclasses.replace(
                 cfg, run=dataclasses.replace(cfg.run, full_cycles=True))
-        return args.func(cfg, args)
+        manifest = Manifest(cfg, args)
+        args.func(cfg, args, manifest)
+        manifest.write()
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,7 +37,7 @@ from . import rng
 from .model import (Electron, Nuclear, PhysicalParams, RegisterState,
                     default_diagram, packaged_defaults)
 from .optics import OpticalModel, default_optical_model, propagate
-from .protocol import ProtocolSpec, gate_action, mw_pi
+from .protocol import ProtocolSpec, gate_action
 
 __all__ = [
     "ShotModel",
@@ -63,6 +63,11 @@ _J_READ = _J_FLIP + _MAX_FLIPS
 _CHUNK = 16384
 _READ_BLOCK = 8       # cycles of read uniforms drawn per block
 
+# rng.poisson_from_uniform starts its inverse CDF at exp(-lambda), which
+# stays a normal double only up to lambda ~ 708; beyond it every count
+# would come out as the clamp
+_LAMBDA_MAX = 700.0
+
 
 @dataclass(frozen=True)
 class ShotModel:
@@ -84,8 +89,10 @@ class ShotModel:
     mode: str = "effective"
 
     def __post_init__(self):
-        if self.lambda_bright < 0 or self.lambda_dark < 0:
-            raise ValueError("photon rates must be non-negative")
+        for name in ("lambda_bright", "lambda_dark"):
+            if not 0.0 <= getattr(self, name) <= _LAMBDA_MAX:
+                raise ValueError(f"{name} must lie in [0, {_LAMBDA_MAX:g}] "
+                                 f"photons per read window")
         for name in ("flip_bd", "flip_db", "nuclear_init_error", "charge_error"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -572,36 +579,40 @@ _PUMP_TO = {Electron.PLUS_3_2: Electron.PLUS_1_2,
             Electron.MINUS_3_2: Electron.MINUS_1_2}
 
 
-class _SeqStream:
-    """Sequential draws from one shot stream (microscopic mode)."""
+class _Draws:
+    """One shot's stream, drawn in one call and handed out in order
+    (the ``rng`` of gate_action)."""
 
-    def __init__(self, seed):
-        self.seeds = np.array([seed], dtype=np.uint64)
+    def __init__(self, seed, n):
+        self.u = rng.uniforms(np.array([seed], dtype=np.uint64), np.arange(n))
+        self.values = self.u.tolist()
         self.j = 0
 
     def random(self):
-        u = rng.uniforms(self.seeds, self.j)[0]
         self.j += 1
-        return float(u)
-
-    def poisson(self, lam):
-        return int(rng.poisson_from_uniform(
-            np.array([self.random()]), np.array([lam]))[0])
+        return self.values[self.j - 1]
 
 
 def _simulate_shot_microscopic(model, protocol, prepared, seed, params,
                                optical, head_window):
-    """Track the electron through the CNOTs; emission comes from optics.
+    """Track the electron through the pulses of the protocol's readout
+    cycle; emission comes from optics.
 
     The bright window rate is expected_cycle_photons of the optical model
     and the window's pump-out probability comes from the same propagation;
-    lambda_dark remains the effective background bundle.
+    lambda_dark remains the effective background bundle.  Each cycle takes
+    a flip draw, a draw per MW pulse that addresses the register, and a
+    count draw per read plus a pump-out draw after a bright one.  The
+    stream is drawn once, up to the most draws a cycle can take, and the
+    counts of each rate come from one poisson_from_uniform call.
     """
-    stream = _SeqStream(seed)
     diagram = default_diagram()
     curve = propagate(optical, protocol.laser_window_us)
     lam_bright = curve.detected_photons()
     pump_out = curve.pump_fidelity(protocol.laser_window_us)
+    body = protocol.readout.blocks[0].body.blocks
+    most = 1 + sum(2 if p.read_slot else p.kind == "mw_pi" for p in body)
+    stream = _Draws(seed, 2 + protocol.cycles * most)
 
     inverted = stream.random() < model.nuclear_init_error
     charge_ok = stream.random() >= model.charge_error
@@ -610,28 +621,27 @@ def _simulate_shot_microscopic(model, protocol, prepared, seed, params,
                           charge_ok=charge_ok)
 
     rate_cycled, rate_idle = model.flip_rates(protocol.dual)
-    counts1 = np.zeros(protocol.cycles, dtype=np.int64)
-    counts2 = np.zeros(protocol.cycles, dtype=np.int64) if protocol.dual else None
-
-    reads = [(("MW1A", "MW3A"), counts1)]
-    if protocol.dual:
-        reads.append((("MW1B", "MW3B"), counts2))
-
+    reads = ([], [])          # (draw, read, cycle) at the bright, dark rate
     for c in range(protocol.cycles):
         cycled = protocol.dual or state.nuclear is Nuclear.UP
-        rate = rate_cycled if cycled else rate_idle
-        if stream.random() < rate:
+        if stream.random() < (rate_cycled if cycled else rate_idle):
             state = replace(state, nuclear=state.nuclear.flipped())
-        for labels, sink in reads:
-            for label in labels:
-                state = gate_action(mw_pi(label), state, params, stream,
+        for pulse in body:
+            if not pulse.read_slot:
+                state = gate_action(pulse, state, params, stream,
                                     diagram=diagram)
-            in_bright_manifold = state.electron in _PUMP_TO
-            if state.charge_ok and in_bright_manifold:
-                sink[c] = stream.poisson(lam_bright + model.lambda_dark)
-                if stream.random() < pump_out:
-                    state = replace(state, electron=_PUMP_TO[state.electron])
-            else:
-                sink[c] = stream.poisson(model.lambda_dark)
+                continue
+            bright = state.charge_ok and state.electron in _PUMP_TO
+            reads[0 if bright else 1].append((stream.j, pulse.read_slot - 1, c))
+            stream.j += 1
+            if bright and stream.random() < pump_out:
+                state = replace(state, electron=_PUMP_TO[state.electron])
 
-    return _record(prepared, seed, counts1, counts2, head_window)
+    counts = np.zeros((protocol.reads_per_cycle, protocol.cycles),
+                      dtype=np.int64)
+    for lam, sink in zip((lam_bright + model.lambda_dark, model.lambda_dark),
+                         reads):
+        j, read, c = np.array(sink, dtype=np.int64).reshape(-1, 3).T
+        counts[read, c] = rng.poisson_from_uniform(stream.u[j], lam)
+    return _record(prepared, seed, counts[0],
+                   counts[1] if protocol.dual else None, head_window)

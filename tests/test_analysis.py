@@ -363,6 +363,12 @@ class TestFitFlipRate:
 
 
 class TestFitShotModel:
+    def test_targets_beyond_the_rate_bound_raise(self):
+        targets = FitTargets(mean_bright=2e5, mean_dark=1.0,
+                             rate_bright_as_dark=0.1, rate_dark_as_bright=0.1)
+        with pytest.raises(AnalysisError, match="photons per read window"):
+            fit_shot_model(targets)
+
     def test_reference_targets_reproduced_within_five_percent(self):
         model = fit_shot_model(REFERENCE_TARGETS)
         pmf_up = exact_count_pmf(model, 250, Nuclear.UP)

@@ -218,3 +218,50 @@ class TestReproducePipeline:
                      "report_raw.json", "report_conditional.json",
                      "report_dual.json", "shot_model.json", "summary.json"):
             assert os.path.exists(os.path.join(out, name)), name
+
+
+class TestConfigReachesBatches:
+    @pytest.mark.parametrize("key", ["PROTOCOL__CYCLES", "CLASSIFIER__WINDOW"])
+    def test_conditional_analysis_of_a_cli_run(self, tmp_path, monkeypatch,
+                                               key):
+        monkeypatch.setenv(ENV_PREFIX + key, "100")
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--shots", "500", "--seed", "2",
+                     "--out", out]) == 0
+        with open(os.path.join(out, "batch_up.jsonl")) as fh:
+            assert json.loads(fh.readline())["head_window"] == 100
+        assert main(["analyze", "--mode", "conditional", "--in", out,
+                     "--out", out]) == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("PHYSICAL__PI_PULSE_FIDELITY", "0.0"),
+        ("OPTICAL__COLLECTION_EFFICIENCY", "0.0")])
+    def test_microscopic_runs_use_physical_and_optical(self, tmp_path,
+                                                       monkeypatch, key,
+                                                       value):
+        monkeypatch.setenv(ENV_PREFIX + "SHOT_MODEL__MODE", '"microscopic"')
+        digests = []
+        for env in ({}, {ENV_PREFIX + key: value}):
+            for k, v in env.items():
+                monkeypatch.setenv(k, v)
+            out = str(tmp_path / str(len(digests)))
+            assert main(["simulate", "--shots", "20", "--seed", "3",
+                         "--prepared", "up", "--out", out]) == 0
+            digests.append(file_digest(os.path.join(out, "batch_up.jsonl")))
+        assert digests[0] != digests[1]
+
+
+class TestScenarioOverrides:
+    @pytest.mark.parametrize("override", [
+        "lambda_bright=-1", "flip_bd=2", "cycles=0", "cycles=2.5",
+        "lambda_bright_scale=30000", "lambda_dark=NaN",
+        'nuclear_init_error="x"'])
+    def test_bad_override_is_runtime_error(self, tmp_path, capsys, override):
+        assert main(["scenario", "--override", override,
+                     "--out", str(tmp_path)]) == 3
+        key = override.partition("=")[0]
+        assert f"{key}=" in capsys.readouterr().err
+
+    def test_override_value_must_parse(self, tmp_path):
+        assert main(["scenario", "--override", "cycles=abc",
+                     "--out", str(tmp_path)]) == 1

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssro import rng
+from ssro import rng, trajectory
 from ssro.analysis import exact_count_pmf
 from ssro.model import Nuclear, PhysicalParams
 from ssro.protocol import build_dual_step_readout, build_standard_readout
@@ -71,6 +71,23 @@ class TestPoissonLimit:
         batch = simulate_batch(ideal_model(), protocol, Nuclear.UP,
                                100_000, master_seed=11)
         assert batch.total1.var() == pytest.approx(7.0, rel=0.02)
+
+    def test_rate_at_the_bound_samples_the_right_mean(self, params):
+        # exp(-lambda) must stay a normal double for the inverse CDF; the
+        # largest accepted rate still gives Poisson(3 * 700) totals
+        lam = trajectory._LAMBDA_MAX
+        batch = simulate_batch(ideal_model(lambda_bright=lam),
+                               build_standard_readout(params, cycles=3),
+                               Nuclear.UP, 4000, master_seed=5)
+        sd = np.sqrt(3 * lam / batch.n_shots)
+        assert abs(batch.total1.mean() - 3 * lam) < 5 * sd
+        assert batch.total1.var() == pytest.approx(3 * lam, rel=0.1)
+
+    @pytest.mark.parametrize("name", ["lambda_bright", "lambda_dark"])
+    def test_rate_above_the_bound_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must lie in "
+                                             r"\[0, 700\]"):
+            ShotModel(**{name: 746.0})
 
 
 class TestFlipDecay:
