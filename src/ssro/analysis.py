@@ -5,6 +5,17 @@ Poisson emissions per read window, giving exact count distributions for
 the effective shot model.  It serves as the oracle the Monte Carlo engine
 is validated against, and powers threshold optimization, model fitting
 and improvement scenarios without sampling noise.
+
+Every readout rule is applied to outcome tables: one array per prepared
+state over the outcomes the rule reads, the total (raw), the photons in
+and after the head window (conditional) or the two read totals
+(dual_step).  A sampled table holds shot counts, built by one
+``np.bincount`` (a report merges the counts above cutoff + 1, which every
+rule scores alike); an exact one holds the probabilities of the count DPs.
+``_score`` is the only place that compares a count with the cutoff or
+decides which shots a mode keeps, so the sampled and the exact fidelity
+reports and the shot-model fit cannot drift apart; the histograms share
+the table builder.
 """
 from __future__ import annotations
 
@@ -75,7 +86,24 @@ def _pmf_length(model: ShotModel, cycles: int) -> int:
     return int(m + 10 * math.sqrt(m + 1) + 25)
 
 
-# --- histograms ---------------------------------------------------------------
+# --- outcome tables --------------------------------------------------------------
+
+def _tables(up: tuple, dn: tuple,
+            top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Shot counts over the joint values of one or two count columns, for
+    the up- and the down-prepared batch on one common shape.  Values above
+    ``top`` share its bin."""
+    if top is not None:
+        up, dn = (tuple(np.minimum(c, top) for c in cols) for cols in (up, dn))
+    shape = tuple(int(max(a.max(initial=0), b.max(initial=0))) + 1
+                  for a, b in zip(up, dn))
+
+    def table(columns):
+        flat = np.ravel_multi_index(columns, shape)
+        return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+
+    return table(up), table(dn)
+
 
 @dataclass
 class CountHistogram:
@@ -90,16 +118,11 @@ class CountHistogram:
     @classmethod
     def from_batches(cls, batch_up: BatchResult, batch_dn: BatchResult,
                      read: int = 1) -> "CountHistogram":
-        t_up = batch_up.total1 if read == 1 else batch_up.total2
-        t_dn = batch_dn.total1 if read == 1 else batch_dn.total2
-        top = int(max(t_up.max(initial=0), t_dn.max(initial=0))) + 1
-        return cls(
-            bins=np.arange(top),
-            counts_up=np.bincount(t_up, minlength=top),
-            counts_dn=np.bincount(t_dn, minlength=top),
-            shots_up=batch_up.n_shots,
-            shots_dn=batch_dn.n_shots,
-        )
+        up, dn = ((b.total1 if read == 1 else b.total2,)
+                  for b in (batch_up, batch_dn))
+        counts_up, counts_dn = _tables(up, dn)
+        return cls(np.arange(len(counts_up)), counts_up, counts_dn,
+                   batch_up.n_shots, batch_dn.n_shots)
 
     def __post_init__(self):
         if self.counts_up.sum() != self.shots_up or self.counts_dn.sum() != self.shots_dn:
@@ -124,15 +147,8 @@ class JointHistogram:
     def from_batches(cls, batch_up: BatchResult, batch_dn: BatchResult) -> "JointHistogram":
         if batch_up.total2 is None or batch_dn.total2 is None:
             raise AnalysisError("joint histogram needs dual-read batches")
-        m1 = int(max(batch_up.total1.max(), batch_dn.total1.max())) + 1
-        m2 = int(max(batch_up.total2.max(), batch_dn.total2.max())) + 1
-
-        def hist2d(b):
-            h = np.zeros((m1, m2), dtype=np.int64)
-            np.add.at(h, (b.total1, b.total2), 1)
-            return h
-
-        return cls(hist2d(batch_up), hist2d(batch_dn),
+        return cls(*_tables((batch_up.total1, batch_up.total2),
+                            (batch_dn.total1, batch_dn.total2)),
                    batch_up.n_shots, batch_dn.n_shots)
 
     def read1_marginal(self) -> CountHistogram:
@@ -177,12 +193,11 @@ class ClassifierConfig:
         if self.window < 1:
             raise AnalysisError("window must be >= 1")
 
-    def scaled_window(self, cycles: int,
-                      reference_cycles: int = 250) -> int:
-        """Window rescaled proportionally when the cycle count changes."""
-        if cycles >= reference_cycles:
+    def scaled_window(self, cycles: int) -> int:
+        """Window rescaled proportionally below the 250-cycle reference."""
+        if cycles >= 250:
             return min(self.window, cycles)
-        return max(1, round(cycles * self.window / reference_cycles))
+        return max(1, round(cycles * self.window / 250))
 
 
 def classify(total, config: ClassifierConfig = ClassifierConfig()) -> Nuclear:
@@ -388,23 +403,43 @@ class FidelityReport:
         return d
 
 
-def _report(mode, err_up, n_up, err_dn, n_dn, used, discarded, config,
-            per_prep=None) -> FidelityReport:
-    r_up = err_up / n_up
-    r_dn = err_dn / n_dn
-    return FidelityReport(
-        mode=mode,
-        misread_bright_as_dark=r_up,
-        misread_dark_as_bright=r_dn,
-        average_fidelity=1 - (r_up + r_dn) / 2,
-        success_efficiency=used / (used + discarded) if used + discarded else 0.0,
-        shots_used=used,
-        shots_discarded=discarded,
-        ci_bright_as_dark=wilson_interval(int(round(err_up)), int(n_up)),
-        ci_dark_as_bright=wilson_interval(int(round(err_dn)), int(n_dn)),
-        config=config,
-        per_preparation=per_prep or {},
-    )
+def _check_mode(mode: str) -> None:
+    if mode not in ("raw", "conditional", "dual_step"):
+        raise AnalysisError(f"unknown analysis mode {mode!r}")
+
+
+def _score(mode: str, table_up: np.ndarray, table_dn: np.ndarray, cut: int,
+           trials: tuple) -> tuple[tuple, tuple]:
+    """Kept and misread weight of each preparation under one readout rule.
+
+    The two tables share one shape and hold shot counts or probabilities
+    over the total (raw), over (head, tail) (conditional) or over
+    (total1, total2) (dual_step); ``trials`` is each table's whole weight.
+    A count above ``cut`` reads bright.  raw keeps every trial.
+    conditional keeps an up-prepared trial iff its head saw a photon and a
+    down-prepared one iff its head saw none, then reads the total.
+    dual_step keeps a trial iff exactly one read is bright and reads read 1.
+    Returns ((kept_up, misread_up), (kept_dn, misread_dn)) as Python
+    numbers: ints for count tables, floats for probability tables.
+    """
+    grid = np.indices(table_up.shape)
+    if mode == "raw":
+        keep_up = keep_dn = None
+        bright = grid[0] > cut
+    elif mode == "conditional":
+        keep_up, keep_dn = grid[0] >= 1, grid[0] == 0
+        bright = grid[0] + grid[1] > cut
+    else:
+        bright, bright2 = grid > cut
+        keep_up = keep_dn = bright != bright2
+
+    def weigh(table, keep, wrong, n):
+        if keep is None:
+            return n, table[wrong].sum().item()
+        return table[keep].sum().item(), table[keep & wrong].sum().item()
+
+    return (weigh(table_up, keep_up, ~bright, trials[0]),
+            weigh(table_dn, keep_dn, bright, trials[1]))
 
 
 def fidelity_report(batch_up: BatchResult, batch_dn: BatchResult,
@@ -439,18 +474,17 @@ def fidelity_report(batch_up: BatchResult, batch_dn: BatchResult,
         if a != b:
             raise AnalysisError(f"batches differ in {name}: {a!r} (up) vs "
                                 f"{b!r} (down)")
+    _check_mode(mode)
     n_up, n_dn = batch_up.n_shots, batch_dn.n_shots
-    cut = config.cutoff
+    # every rule compares a count only with 0 and the cutoff, so counts
+    # above cutoff + 1 score alike and the tables need not grow with them
+    top = config.cutoff + 1
 
     if mode == "raw":
-        err_up = int((batch_up.total1 <= cut).sum())
-        err_dn = int((batch_dn.total1 > cut).sum())
-        return _report("raw", err_up, n_up, err_dn, n_dn,
-                       n_up + n_dn, 0, config)
-
-    if mode == "conditional":
+        tables = _tables((batch_up.total1,), (batch_dn.total1,), top)
+    elif mode == "conditional":
         window = min(config.window, batch_up.cycles)
-        if window != batch_up.head_window or window != batch_dn.head_window:
+        if window != batch_up.head_window:
             if batch_up.counts1 is None or batch_dn.counts1 is None:
                 raise AnalysisError(
                     f"batches recorded head counts for a {batch_up.head_window}-"
@@ -460,90 +494,61 @@ def fidelity_report(batch_up: BatchResult, batch_dn: BatchResult,
             head_dn = batch_dn.counts1[:, :window].sum(axis=1)
         else:
             head_up, head_dn = batch_up.head1, batch_dn.head1
-        keep_up = head_up >= 1
-        keep_dn = head_dn == 0
-        if not keep_up.any() or not keep_dn.any():
-            raise AnalysisError("post-selection kept 0 shots")
-        err_up = int((batch_up.total1[keep_up] <= cut).sum())
-        err_dn = int((batch_dn.total1[keep_dn] > cut).sum())
-        used = int(keep_up.sum() + keep_dn.sum())
-        return _report("conditional", err_up, int(keep_up.sum()),
-                       err_dn, int(keep_dn.sum()),
-                       used, n_up + n_dn - used, config)
-
-    if mode == "dual_step":
+        tables = _tables((head_up, batch_up.total1 - head_up),
+                         (head_dn, batch_dn.total1 - head_dn), top)
+    else:
         if batch_up.total2 is None or batch_dn.total2 is None:
             raise AnalysisError("dual_step analysis needs dual-read batches")
+        tables = _tables((batch_up.total1, batch_up.total2),
+                         (batch_dn.total1, batch_dn.total2), top)
 
-        def split(batch):
-            as_bright = (batch.total1 > cut) & (batch.total2 <= cut)
-            as_dark = (batch.total1 <= cut) & (batch.total2 > cut)
-            return int(as_bright.sum()), int(as_dark.sum())
-
-        b_up, d_up = split(batch_up)
-        b_dn, d_dn = split(batch_dn)
-        kept_up, kept_dn = b_up + d_up, b_dn + d_dn
-        if kept_up == 0 or kept_dn == 0:
-            raise AnalysisError("post-selection kept 0 shots")
+    (kept_up, err_up), (kept_dn, err_dn) = _score(
+        mode, *tables, config.cutoff, (n_up, n_dn))
+    if kept_up == 0 or kept_dn == 0:
+        raise AnalysisError("post-selection kept 0 shots")
+    per_prep = {}
+    if mode == "dual_step":
         per_prep = {
             "up": dict(success_efficiency=kept_up / n_up,
-                       fidelity=b_up / kept_up),
+                       fidelity=(kept_up - err_up) / kept_up),
             "down": dict(success_efficiency=kept_dn / n_dn,
-                         fidelity=d_dn / kept_dn),
+                         fidelity=(kept_dn - err_dn) / kept_dn),
         }
-        used = kept_up + kept_dn
-        return _report("dual_step", d_up, kept_up, b_dn, kept_dn,
-                       used, n_up + n_dn - used, config, per_prep)
-
-    raise AnalysisError(f"unknown analysis mode {mode!r}")
+    used = kept_up + kept_dn
+    r_up, r_dn = err_up / kept_up, err_dn / kept_dn
+    return FidelityReport(
+        mode=mode, misread_bright_as_dark=r_up, misread_dark_as_bright=r_dn,
+        average_fidelity=1 - (r_up + r_dn) / 2,
+        success_efficiency=used / (n_up + n_dn), shots_used=used,
+        shots_discarded=n_up + n_dn - used,
+        ci_bright_as_dark=wilson_interval(err_up, kept_up),
+        ci_dark_as_bright=wilson_interval(err_dn, kept_dn),
+        config=config, per_preparation=per_prep)
 
 
 def exact_fidelity_report(model: ShotModel, cycles: int,
                           config: ClassifierConfig = ClassifierConfig(),
                           mode: str = "raw") -> dict:
     """Noise-free analogue of fidelity_report from the exact distributions."""
-    cut = config.cutoff
+    _check_mode(mode)
+    preps = (Nuclear.UP, Nuclear.DOWN)
     if mode == "raw":
-        pmf_up = exact_count_pmf(model, cycles, Nuclear.UP)
-        pmf_dn = exact_count_pmf(model, cycles, Nuclear.DOWN)
-        r_up = float(pmf_up[:cut + 1].sum())
-        r_dn = float(pmf_dn[cut + 1:].sum())
-        return dict(mode=mode, misread_bright_as_dark=r_up,
-                    misread_dark_as_bright=r_dn,
-                    average_fidelity=1 - (r_up + r_dn) / 2,
-                    success_efficiency=1.0)
-    if mode == "conditional":
+        tables = [exact_count_pmf(model, cycles, p) for p in preps]
+    elif mode == "conditional":
         window = min(config.window, cycles)
-        ju = exact_head_tail_pmf(model, cycles, window, Nuclear.UP)
-        jd = exact_head_tail_pmf(model, cycles, window, Nuclear.DOWN)
-        h = np.arange(ju.shape[0])[:, None]
-        t = np.arange(ju.shape[1])[None, :]
-        total = h + t
-        keep_up = float(ju[1:, :].sum())
-        keep_dn = float(jd[0, :].sum())
-        r_up = float(ju[(h >= 1) & (total <= cut)].sum()) / keep_up
-        r_dn = float(jd[0, cut + 1:].sum()) / keep_dn
-        return dict(mode=mode, misread_bright_as_dark=r_up,
-                    misread_dark_as_bright=r_dn,
-                    average_fidelity=1 - (r_up + r_dn) / 2,
-                    success_efficiency=(keep_up + keep_dn) / 2)
+        tables = [exact_head_tail_pmf(model, cycles, window, p) for p in preps]
+    else:
+        tables = [exact_dual_pmf(model, cycles, p) for p in preps]
+    (kept_up, err_up), (kept_dn, err_dn) = _score(
+        mode, *tables, config.cutoff, (1.0, 1.0))
+    r_up, r_dn = err_up / kept_up, err_dn / kept_dn
+    report = dict(mode=mode, misread_bright_as_dark=r_up,
+                  misread_dark_as_bright=r_dn,
+                  average_fidelity=1 - (r_up + r_dn) / 2,
+                  success_efficiency=(kept_up + kept_dn) / 2)
     if mode == "dual_step":
-        ju = exact_dual_pmf(model, cycles, Nuclear.UP)
-        jd = exact_dual_pmf(model, cycles, Nuclear.DOWN)
-        t1 = np.arange(ju.shape[0])[:, None]
-        t2 = np.arange(ju.shape[1])[None, :]
-        as_bright = (t1 > cut) & (t2 <= cut)
-        as_dark = (t1 <= cut) & (t2 > cut)
-        keep_up = float(ju[as_bright].sum() + ju[as_dark].sum())
-        keep_dn = float(jd[as_bright].sum() + jd[as_dark].sum())
-        r_up = float(ju[as_dark].sum()) / keep_up
-        r_dn = float(jd[as_bright].sum()) / keep_dn
-        return dict(mode=mode, misread_bright_as_dark=r_up,
-                    misread_dark_as_bright=r_dn,
-                    average_fidelity=1 - (r_up + r_dn) / 2,
-                    success_efficiency=(keep_up + keep_dn) / 2,
-                    per_preparation={"up": keep_up, "down": keep_dn})
-    raise AnalysisError(f"unknown analysis mode {mode!r}")
+        report["per_preparation"] = {"up": kept_up, "down": kept_dn}
+    return report
 
 
 # --- flip-rate fitting -----------------------------------------------------------
@@ -730,14 +735,10 @@ def _model_stats(model: ShotModel, cycles: int, config: ClassifierConfig,
                  conditional: bool):
     pmf_up = exact_count_pmf(model, cycles, Nuclear.UP)
     pmf_dn = exact_count_pmf(model, cycles, Nuclear.DOWN)
-    k_up = np.arange(len(pmf_up))
-    cut = config.cutoff
-    stats = [
-        float((k_up * pmf_up).sum()),
-        float((np.arange(len(pmf_dn)) * pmf_dn).sum()),
-        float(pmf_up[:cut + 1].sum()),
-        float(pmf_dn[cut + 1:].sum()),
-    ]
+    (_, r_up), (_, r_dn) = _score("raw", pmf_up, pmf_dn, config.cutoff,
+                                  (1.0, 1.0))
+    stats = [float((np.arange(len(pmf)) * pmf).sum())
+             for pmf in (pmf_up, pmf_dn)] + [r_up, r_dn]
     if conditional:
         rep = exact_fidelity_report(model, cycles, config, mode="conditional")
         stats += [rep["misread_bright_as_dark"], rep["misread_dark_as_bright"]]
@@ -747,8 +748,7 @@ def _model_stats(model: ShotModel, cycles: int, config: ClassifierConfig,
 def fit_shot_model(targets: FitTargets = REFERENCE_TARGETS,
                    flip_bd: float = 7.7e-4,
                    cycles: int = 250,
-                   config: ClassifierConfig = ClassifierConfig(),
-                   residual_threshold: float = 0.25) -> ShotModel:
+                   config: ClassifierConfig = ClassifierConfig()) -> ShotModel:
     """Least-squares calibration of the effective model.
 
     The flip rate of the cycled state is fixed to its independently
@@ -758,8 +758,8 @@ def fit_shot_model(targets: FitTargets = REFERENCE_TARGETS,
     the exact distributions, from a fixed deterministic start.
 
     Raises:
-        AnalysisError: if the worst relative residual exceeds
-            ``residual_threshold``; the message names the worst statistic.
+        AnalysisError: if the worst relative residual exceeds 0.25; the
+            message names the worst statistic.
     """
     conditional = targets.cond_bright_as_dark is not None
     names = ["mean_bright", "mean_dark", "rate_bright_as_dark",
@@ -808,7 +808,7 @@ def fit_shot_model(targets: FitTargets = REFERENCE_TARGETS,
     stats = _model_stats(model, cycles, config, conditional)
     rel = [abs(s - g) / g for s, g in zip(stats, goals)]
     worst = int(np.argmax(rel))
-    if rel[worst] > residual_threshold:
+    if rel[worst] > 0.25:
         raise AnalysisError(
             f"fit residual too large: {names[worst]} = {stats[worst]:.4g} "
             f"vs target {goals[worst]:.4g} "
@@ -818,8 +818,8 @@ def fit_shot_model(targets: FitTargets = REFERENCE_TARGETS,
 
 # --- threshold optimization ---------------------------------------------------------
 
-def optimize_threshold(pmf_up: np.ndarray, pmf_dn: np.ndarray,
-                       n_max: int | None = None) -> tuple[int, float]:
+def optimize_threshold(pmf_up: np.ndarray,
+                       pmf_dn: np.ndarray) -> tuple[int, float]:
     """Exhaustive integer-cutoff scan maximizing the average fidelity.
 
     Returns (N*, fidelity at N*); ties break toward the smaller cutoff.
@@ -829,13 +829,11 @@ def optimize_threshold(pmf_up: np.ndarray, pmf_dn: np.ndarray,
     for pmf in (pmf_up, pmf_dn):
         if abs(pmf.sum() - 1.0) > 1e-6:
             raise AnalysisError("PMFs must be normalized")
-    if n_max is None:
-        n_max = max(len(pmf_up), len(pmf_dn)) - 1
     cdf_up = np.cumsum(pmf_up)
     cdf_dn = np.cumsum(pmf_dn)
 
     best_n, best_fid = 0, -1.0
-    for n in range(n_max + 1):
+    for n in range(max(len(pmf_up), len(pmf_dn))):
         p_up_le = cdf_up[min(n, len(cdf_up) - 1)]
         p_dn_gt = 1.0 - cdf_dn[min(n, len(cdf_dn) - 1)]
         fid = 1.0 - (p_up_le + p_dn_gt) / 2.0
@@ -875,7 +873,9 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
     A duration budget instead derives the cycle count from the protocol's
     per-cycle duration.  With ``readout_only`` (default) the
     initialization and charge errors are zeroed so the numbers isolate
-    the readout process itself, comparable to the conditional benchmark.
+    the readout process itself, comparable to the conditional benchmark;
+    an override or ``*_scale`` of either field then raises
+    AnalysisError instead of being silently dropped.
 
     Reports the threshold-optimized fidelity of the count distributions
     and the conditional-mode fidelity at the proportionally scaled
@@ -893,6 +893,12 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
         raise AnalysisError(f"override cycles={cycles!r} must be an integer "
                             f">= 1")
     cycles = int(cycles)
+    zeroed = ("nuclear_init_error", "charge_error") if readout_only else ()
+    for key in overrides:
+        if key.removesuffix("_scale") in zeroed:
+            raise AnalysisError(
+                f"override {key} has no effect: scenario zeroes "
+                f"nuclear_init_error and charge_error (readout_only)")
     fields = model.to_dict()
     for key in list(overrides):
         if key.endswith("_scale"):
@@ -904,9 +910,7 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
         if key not in fields:
             raise AnalysisError(f"unknown model override {key!r}")
         fields[key] = value
-    if readout_only:
-        fields["nuclear_init_error"] = 0.0
-        fields["charge_error"] = 0.0
+    fields.update(dict.fromkeys(zeroed, 0.0))
     try:
         mod = ShotModel(**fields)
     except ValueError as exc:

@@ -126,14 +126,9 @@ class PumpCurve:
         i = min(i, len(self.times_us) - 1)
         return float(self.target_population[i])
 
-    def detected_photons(self, t_us: float | None = None) -> float:
-        """Integral of the detected rate up to ``t_us`` (whole curve if None)."""
-        if t_us is None:
-            n = len(self.times_us)
-        else:
-            n = int(np.searchsorted(self.times_us, t_us - 1e-12)) + 1
-            n = min(n, len(self.times_us))
-        return float(np.trapezoid(self.detected_rate[:n], self.times_us[:n]))
+    def detected_photons(self) -> float:
+        """Integral of the detected rate over the whole curve."""
+        return float(np.trapezoid(self.detected_rate, self.times_us))
 
     def to_csv(self, path) -> None:
         header = "time_us,pop_g12,pop_g32,pop_e12,pop_e32,pop_m,detected_rate"
@@ -161,7 +156,7 @@ def _start_vector(start) -> np.ndarray:
 
 def propagate(model: OpticalModel, duration_us: float,
               step_us: float = DEFAULT_STEP_US,
-              start=None, pumped_level: str | None = None) -> PumpCurve:
+              start=None) -> PumpCurve:
     """Integrate the rate equations with fixed-step classical RK4.
 
     For this linear system one RK4 step equals multiplication by the
@@ -171,15 +166,14 @@ def propagate(model: OpticalModel, duration_us: float,
     (S^B)^k x0 take about 2 sqrt(n) small products, and one einsum fills
     every row x_(kB+j) = S^j (S^B)^k x0 of the time grid.  Populations
     are checked to stay inside [0, 1] to 1e-6; a violation means the step
-    does not resolve the fastest rate.
+    does not resolve the fastest rate.  The curve's ``pumped_level``, read
+    by its pump fidelity, is the doublet the stronger pump drains.
 
     Args:
         duration_us: total integration time, >= step.
         step_us: fixed step, > 0.
         start: initial populations (5-vector over LEVELS) or a
             RegisterState; defaults to everything in g32.
-        pumped_level: ground doublet drained by the laser, for the
-            fidelity reading; inferred from the active pump if omitted.
 
     Raises:
         StepSizeError: if the integration leaves [0, 1] by more than 1e-6.
@@ -190,10 +184,7 @@ def propagate(model: OpticalModel, duration_us: float,
         raise ValueError("duration must be at least one step")
     x0 = _start_vector(start if start is not None else
                        np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    if pumped_level is None:
-        pumped_level = "g12" if model.pump_a1 > model.pump_a2 else "g32"
-    if pumped_level not in ("g12", "g32"):
-        raise ValueError("pumped_level must be g12 or g32")
+    pumped_level = "g12" if model.pump_a1 > model.pump_a2 else "g32"
 
     a = model.rate_matrix()
     n = int(round(duration_us / step_us))
@@ -238,7 +229,6 @@ class PumpTarget:
 def fit_pump_rates(targets: list[PumpTarget] | PumpTarget,
                    base: OpticalModel | None = None,
                    rate_bound: float = 200.0,
-                   step_us: float = DEFAULT_STEP_US,
                    max_iter: int = 400) -> OpticalModel:
     """Calibrate (pump_a2, isc, metastable) rates against pumping targets.
 
@@ -267,7 +257,7 @@ def fit_pump_rates(targets: list[PumpTarget] | PumpTarget,
                        m_to_g12=m_g12, m_to_g32=m_g32)
 
     def violation(x):
-        curve = propagate(build(x), horizon, step_us)
+        curve = propagate(build(x), horizon)
         return sum(max(0.0, t.min_fidelity - curve.pump_fidelity(t.time_us)) ** 2
                    for t in targets)
 
@@ -283,8 +273,7 @@ def fit_pump_rates(targets: list[PumpTarget] | PumpTarget,
 
 
 def expected_cycle_photons(model: OpticalModel, laser_window_us: float,
-                           start_state: RegisterState | None = None,
-                           step_us: float = DEFAULT_STEP_US) -> float:
+                           start_state: RegisterState | None = None) -> float:
     """Expected detected photons in one laser window from a given start.
 
     This is the integral of the detected emission rate over the window and
@@ -293,18 +282,17 @@ def expected_cycle_photons(model: OpticalModel, laser_window_us: float,
     """
     if laser_window_us <= 0:
         raise ValueError("laser window must be positive")
-    curve = propagate(model, laser_window_us, step_us,
+    curve = propagate(model, laser_window_us,
                       start=start_state or RegisterState())
     return curve.detected_photons()
 
 
 def calibrate_collection(model: OpticalModel, target_photons: float,
-                         laser_window_us: float,
-                         step_us: float = DEFAULT_STEP_US) -> OpticalModel:
+                         laser_window_us: float) -> OpticalModel:
     """Set the collection efficiency so one bright window yields
     ``target_photons`` detected photons on average."""
     unit = expected_cycle_photons(replace(model, collection_efficiency=1.0),
-                                  laser_window_us, step_us=step_us)
+                                  laser_window_us)
     if unit <= 0:
         raise PumpFitError("model emits no photons; cannot calibrate collection")
     eff = target_photons / unit

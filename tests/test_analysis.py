@@ -488,6 +488,25 @@ class TestScenario:
         with pytest.raises(AnalysisError, match="override"):
             scenario(cal, protocol, overrides={"lambda_blue": 1.0})
 
+    @pytest.mark.parametrize("key, value", [
+        ("charge_error", 0.5), ("nuclear_init_error", 0.4),
+        ("charge_error_scale", 3), ("nuclear_init_error_scale", 2)])
+    def test_zeroed_field_override_rejected_under_readout_only(
+            self, cal, protocol, key, value):
+        with pytest.raises(AnalysisError,
+                           match=f"override {key} has no effect: scenario "
+                                 f"zeroes nuclear_init_error and "
+                                 f"charge_error"):
+            scenario(cal, protocol, overrides={key: value})
+
+    def test_zeroed_field_override_applies_without_readout_only(
+            self, cal, protocol):
+        base = scenario(cal, protocol, readout_only=False)
+        noisy = scenario(cal, protocol, overrides={"charge_error": 0.3},
+                         readout_only=False)
+        assert noisy.model.charge_error == 0.3
+        assert noisy.optimized_fidelity < base.optimized_fidelity
+
 
 class TestPeakSeparation:
     def test_recovers_known_separation(self):

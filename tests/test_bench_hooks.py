@@ -1,0 +1,111 @@
+"""The package keeps what the benchmark's span tracer reaches into.
+
+``bench/spans.py`` patches functions of ``ssro`` by name, reads
+``propagate``'s ``step_us`` argument and wraps the least-squares solver
+that ``ssro.analysis`` imports.  A rename there would only show as a
+traced benchmark run that fails; these tests run the tracer on tiny calls
+so that it fails here instead.
+"""
+import dataclasses
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+import ssro.analysis
+import ssro.optics
+import ssro.trajectory
+# the tracer patches every module it names, so each must be loaded
+import ssro.cli  # noqa: F401
+import ssro.config  # noqa: F401
+import ssro.protocol  # noqa: F401
+import ssro.rng  # noqa: F401
+from ssro.model import Nuclear, PhysicalParams
+from ssro.protocol import build_standard_readout
+from ssro.trajectory import BatchResult, calibrated_shot_model
+
+SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def originals(spans):
+    """Every traced attribute as the package holds it, by owner."""
+    out = {}
+    for modname, attr, _, _ in spans.TARGETS:
+        owner = sys.modules[modname]
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            owner = getattr(owner, cls_name)
+            out[owner, meth] = owner.__dict__[meth]
+        else:
+            out[owner, attr] = getattr(owner, attr)
+    out[ssro.analysis, "least_squares"] = ssro.analysis.least_squares
+    return out
+
+
+def test_tracer_records_work_and_restores_the_package(spans, tmp_path):
+    before = originals(spans)
+    protocol = build_standard_readout(PhysicalParams(), cycles=20)
+    micro = dataclasses.replace(calibrated_shot_model(), mode="microscopic")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # the package's own imports of a traced name are patched as well
+        assert ssro.optics.propagate is not before[ssro.optics, "propagate"]
+        assert ssro.analysis.least_squares is not \
+            before[ssro.analysis, "least_squares"]
+        ssro.optics.propagate(ssro.optics.default_optical_model(), 0.01)
+        batch = ssro.trajectory.simulate_batch(
+            calibrated_shot_model(), protocol, Nuclear.UP, 10, master_seed=3)
+        path = tmp_path / "batch.jsonl"
+        batch.save_jsonl(path)
+        BatchResult.load_jsonl(path)
+        ssro.trajectory.simulate_batch(micro, protocol, Nuclear.UP, 1,
+                                       master_seed=4)
+        ssro.analysis.least_squares(lambda x: x - 1.0, [0.0])
+    finally:
+        tracer.uninstall()
+    assert originals(spans) == before
+
+    work = {}
+    for name, start, end, _, amount, _ in tracer.spans:
+        assert end >= start
+        work.setdefault(name, []).append(amount)
+    expected = {
+        "optics.propagate", "trajectory.simulate_batch",
+        "trajectory.simulate_shot", "trajectory.save_jsonl",
+        "trajectory.load_jsonl", "rng.uniforms", "rng.poisson",
+        "rng.shot_seed", "protocol.gate_action", spans.OBJECTIVE_SPAN,
+    }
+    assert expected <= set(work)
+    for name in expected:
+        assert sum(work[name]) > 0, name
+    # propagate's span counts integration steps from its step_us argument
+    assert work["optics.propagate"][0] == round(
+        0.01 / ssro.optics.DEFAULT_STEP_US)
+    assert work["trajectory.simulate_batch"] == [10, 1]
+    size = path.stat().st_size
+    assert work["trajectory.save_jsonl"] == work["trajectory.load_jsonl"] \
+        == [size]
+
+
+def test_layer_metrics_read_the_recorded_spans(spans):
+    tracer = spans.Tracer()
+    tracer.iteration = 0
+    tracer.install()
+    try:
+        ssro.optics.propagate(ssro.optics.default_optical_model(), 0.01)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, [0])
+    assert metrics["optics.propagate_calls"] == 1
+    assert metrics["optics.propagate_steps"] == 100
+    assert metrics["optics.propagate_s"] > 0

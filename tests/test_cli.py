@@ -177,6 +177,16 @@ class TestSmallCommands:
         assert payload["cycles"] == 57
         assert payload["optimized_fidelity"] > 0.99
 
+    @pytest.mark.parametrize("override", [
+        "charge_error=0.5", "nuclear_init_error=0.4", "charge_error_scale=3"])
+    def test_scenario_rejects_zeroed_field_override(self, tmp_path, capsys,
+                                                    override):
+        out = str(tmp_path)
+        assert main(["scenario", "--override", override, "--out", out]) == 3
+        key = override.partition("=")[0]
+        assert f"override {key} has no effect" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "scenario.json"))
+
     def test_fit_flip(self, tmp_path):
         # plumbing only: statistical recovery is covered by the analysis
         # tests and the acceptance suite at full scale
