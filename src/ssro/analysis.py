@@ -118,8 +118,7 @@ class CountHistogram:
     @classmethod
     def from_batches(cls, batch_up: BatchResult, batch_dn: BatchResult,
                      read: int = 1) -> "CountHistogram":
-        up, dn = ((b.total1 if read == 1 else b.total2,)
-                  for b in (batch_up, batch_dn))
+        up, dn = ((b.column("total", read),) for b in (batch_up, batch_dn))
         counts_up, counts_dn = _tables(up, dn)
         return cls(np.arange(len(counts_up)), counts_up, counts_dn,
                    batch_up.n_shots, batch_dn.n_shots)
@@ -161,12 +160,12 @@ class JointHistogram:
         )
 
     def to_csv(self, path) -> None:
-        rows = []
-        for (i, j), c_up in np.ndenumerate(self.counts_up):
-            c_dn = self.counts_dn[i, j]
-            if c_up or c_dn:
-                rows.append((i, j, c_up, c_dn))
-        np.savetxt(path, np.asarray(rows, dtype=np.int64), fmt="%d", delimiter=",",
+        """One row per cell that holds a shot of either preparation, in
+        row-major order."""
+        i, j = np.nonzero(self.counts_up | self.counts_dn)
+        rows = np.column_stack([i, j, self.counts_up[i, j],
+                                self.counts_dn[i, j]]).astype(np.int64)
+        np.savetxt(path, rows, fmt="%d", delimiter=",",
                    header="total_read1,total_read2,count_up_prepared,count_dn_prepared",
                    comments="")
 

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,8 @@ from .analysis import (AnalysisError, ClassifierConfig, CountHistogram,
                        fidelity_report, fit_flip_rate, fit_shot_model,
                        optimize_threshold, scenario)
 from .config import ConfigError, RunConfig, load_config
-from .model import Nuclear, PhysicalParams, default_diagram, odmr_spectrum
+from .model import (ModelError, Nuclear, PhysicalParams, default_diagram,
+                    odmr_spectrum)
 from .optics import (PumpFitError, PumpTarget, calibrate_collection,
                      expected_cycle_photons, fit_pump_rates, propagate)
 from .trajectory import BatchResult, simulate_batch
@@ -105,7 +107,7 @@ def _write_columns(path, columns, header, **kwargs):
 
 
 def _shots_and_seed(cfg: RunConfig, args):
-    return (args.shots or cfg.run.shots,
+    return (cfg.run.shots if args.shots is None else args.shots,
             cfg.run.seed if args.seed is None else args.seed)
 
 
@@ -235,14 +237,14 @@ def cmd_fit_model(cfg: RunConfig, args, manifest: Manifest):
 
 
 def cmd_odmr(cfg: RunConfig, args, manifest: Manifest):
-    populations = tuple(float(x) for x in args.populations.split(","))
-    if len(populations) != 2:
-        raise UsageError("--populations needs two comma-separated numbers")
     span = 1.5 * cfg.physical.hyperfine_splitting
     grid = np.arange(-span, span + args.step / 2, args.step)
-    spectrum = _odmr(manifest, cfg, populations, grid)
+    try:
+        spectrum = _odmr(manifest, cfg, args.populations, grid)
+    except ModelError as exc:
+        raise UsageError(f"argument --populations: {exc}") from exc
     separation = estimate_peak_separation(grid, spectrum) \
-        if min(populations) > 0 else None
+        if min(args.populations) > 0 else None
     manifest.add_summary(peak_separation_mhz=separation)
     if separation is not None:
         print(f"peak separation {separation:.3f} MHz")
@@ -405,6 +407,30 @@ def cmd_reproduce_paper(cfg: RunConfig, args, manifest: Manifest):
 # --- argument parsing ---------------------------------------------------------
 
 
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` (int or float) above 0."""
+    def parse(text):
+        try:
+            value = kind(text)
+            if math.isfinite(value) and value > 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"must be a positive {kind.__name__}, got {text!r}")
+    return parse
+
+
+def _populations(text):
+    """argparse type: two comma-separated numbers."""
+    try:
+        p_first, p_second = (float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs two comma-separated numbers, got {text!r}") from None
+    return p_first, p_second
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ssro",
                      description="Nuclear-spin single-shot readout simulator")
@@ -418,7 +444,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         if shots:
-            p.add_argument("--shots", type=int, default=None)
+            p.add_argument("--shots", type=_positive(int), default=None)
 
     p = sub.add_parser("simulate", help="write shot batches as JSON lines")
     common(p)
@@ -449,13 +475,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("odmr", help="synthesize an ODMR spectrum")
     common(p, shots=False)
-    p.add_argument("--populations", default="0.93,0.07")
-    p.add_argument("--step", type=float, default=0.1, help="grid step (MHz)")
+    p.add_argument("--populations", type=_populations, default="0.93,0.07")
+    p.add_argument("--step", type=_positive(float), default=0.1,
+                   help="grid step (MHz)")
     p.set_defaults(func=cmd_odmr)
 
     p = sub.add_parser("pump", help="propagate the optical pumping model")
     common(p, shots=False)
-    p.add_argument("--duration", type=float, default=5.0, help="us")
+    p.add_argument("--duration", type=_positive(float), default=5.0,
+                   help="us")
     p.add_argument("--refit", action="store_true",
                    help="re-fit the pump rates before propagating")
     p.set_defaults(func=cmd_pump)
@@ -469,7 +497,7 @@ def build_parser() -> _Parser:
     common(p, shots=False)
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="model field, *_scale factor, or cycles")
-    p.add_argument("--budget-ms", type=float, default=None,
+    p.add_argument("--budget-ms", type=_positive(float), default=None,
                    help="derive the cycle count from a readout time budget")
     p.set_defaults(func=cmd_scenario)
 

@@ -105,15 +105,13 @@ class Transition:
     """One labelled transition of the level diagram.
 
     Microwave transitions carry an electron pair and a nuclear condition;
-    optical lines (A1/A2) address an electron doublet with no nuclear
-    condition.
+    optical lines (A1/A2) carry neither.
     """
 
     label: str
     kind: str                                # "mw" | "optical"
     electron_pair: tuple[Electron, Electron] | None = None
     nuclear_condition: Nuclear | None = None
-    doublet: tuple[Electron, Electron] | None = None
 
 
 @dataclass(frozen=True)
@@ -162,10 +160,8 @@ def default_diagram(up: Nuclear = Nuclear.UP) -> LevelDiagram:
         Transition("MW3B", "mw", electron_pair=mw3, nuclear_condition=dn),
         Transition("MW1A", "mw", electron_pair=mw1, nuclear_condition=up),
         Transition("MW1B", "mw", electron_pair=mw1, nuclear_condition=dn),
-        Transition("A1", "optical",
-                   doublet=(Electron.PLUS_1_2, Electron.MINUS_1_2)),
-        Transition("A2", "optical",
-                   doublet=(Electron.PLUS_3_2, Electron.MINUS_3_2)),
+        Transition("A1", "optical"),      # drives the +-1/2 doublet
+        Transition("A2", "optical"),      # drives the +-3/2 doublet
     )
     return LevelDiagram(
         electron_levels=(Electron.PLUS_3_2, Electron.PLUS_1_2,

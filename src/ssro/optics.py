@@ -99,10 +99,6 @@ class OpticalModel:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "OpticalModel":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class PumpCurve:

@@ -6,13 +6,17 @@ The MW "A" pulses fire only when the nucleus is up, the "B" pulses only
 when it is down, so per cycle the electron is restored to the fluorescent
 +-3/2 manifold exactly when the addressed nuclear state is present.
 
+A ProtocolSpec's cycle count, reads per cycle and read window are read
+from its readout sequence.
+
 Sequences can be written in a small text format (see parse_sequence) and
 round-trip through print_sequence.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .model import (LevelDiagram, PhysicalParams, RegisterState,
                     default_diagram)
@@ -72,6 +76,8 @@ class Pulse:
             raise ProtocolError(f"{self.kind} pulse needs a transition label")
         if self.read_slot is not None and self.read_slot not in (1, 2):
             raise ProtocolError("read slot must be 1 or 2")
+        if self.read_slot is not None and self.kind != "laser":
+            raise ProtocolError("only a laser pulse can carry a read slot")
 
 
 def mw_pi(label: str) -> Pulse:
@@ -98,7 +104,7 @@ class Repeat:
 
 @dataclass(frozen=True)
 class Sequence:
-    name: str = ""
+    name: str = field(default="", compare=False)
     blocks: tuple = ()
 
     def __post_init__(self):
@@ -128,37 +134,53 @@ class Sequence:
 
     def structurally_equal(self, other: "Sequence") -> bool:
         """Equality on pulse content, ignoring sequence names."""
-        if len(self.blocks) != len(other.blocks):
-            return False
-        for a, b in zip(self.blocks, other.blocks):
-            if isinstance(a, Repeat) != isinstance(b, Repeat):
-                return False
-            if isinstance(a, Repeat):
-                if a.count != b.count or not a.body.structurally_equal(b.body):
-                    return False
-            elif a != b:
-                return False
-        return True
+        return self == other
 
 
 @dataclass(frozen=True)
 class ProtocolSpec:
+    """Init and readout sequences; the layout the samplers use is read
+    from the readout, so the two cannot disagree.
+
+    The readout must be one Repeat of a cycle of pulses whose read windows
+    are tagged read1, or read1 then read2, and share one duration.
+    """
+
     init: Sequence
     readout: Sequence
-    cycles: int
-    reads_per_cycle: int
-    laser_window_us: float = DEFAULT_LASER_WINDOW_US
     pi_duration_us: float = DEFAULT_PI_DURATION_US
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ProtocolError("cycles must be >= 1")
-        if self.reads_per_cycle not in (1, 2):
-            raise ProtocolError("reads_per_cycle must be 1 or 2")
-        if self.readout.count_read_slots() < 1:
-            raise ProtocolError("readout sequence has no tagged read slot")
+        blocks = self.readout.blocks
+        if len(blocks) != 1 or not isinstance(blocks[0], Repeat):
+            raise ProtocolError("readout must be a single repeat block")
+        if not all(isinstance(b, Pulse) for b in self.cycle_pulses):
+            raise ProtocolError("readout cycle must hold only pulses")
+        reads = [p for p in self.cycle_pulses if p.read_slot]
+        if [p.read_slot for p in reads] not in ([1], [1, 2]):
+            raise ProtocolError("readout cycle must tag read slots 1, or 1 "
+                                "then 2")
+        if len({p.duration_us for p in reads}) > 1:
+            raise ProtocolError("read windows must share one duration")
 
-    @property
+    @cached_property
+    def cycle_pulses(self) -> tuple:
+        """The pulses of one readout cycle, in order."""
+        return self.readout.blocks[0].body.blocks
+
+    @cached_property
+    def cycles(self) -> int:
+        return self.readout.blocks[0].count
+
+    @cached_property
+    def reads_per_cycle(self) -> int:
+        return self.readout.count_read_slots() // self.cycles
+
+    @cached_property
+    def laser_window_us(self) -> float:
+        return next(p.duration_us for p in self.cycle_pulses if p.read_slot)
+
+    @cached_property
     def dual(self) -> bool:
         return self.reads_per_cycle == 2
 
@@ -187,22 +209,24 @@ def _init_sequence() -> Sequence:
     ))
 
 
+def _readout_spec(conditions, cycles, laser_window_us,
+                  pi_duration_us) -> ProtocolSpec:
+    """Per cycle and condition c: MW1c, MW3c, then an A2 read window."""
+    pulses = ()
+    for slot, c in enumerate(conditions, 1):
+        pulses += (mw_pi(f"MW1{c}"), mw_pi(f"MW3{c}"),
+                   laser("A2", laser_window_us, read_slot=slot))
+    readout = Sequence("readout", (Repeat(cycles, Sequence("cycle", pulses)),))
+    return ProtocolSpec(_init_sequence(), readout, pi_duration_us)
+
+
 def build_standard_readout(params: PhysicalParams,
                            cycles: int = DEFAULT_CYCLES,
                            laser_window_us: float = DEFAULT_LASER_WINDOW_US,
                            pi_duration_us: float = DEFAULT_PI_DURATION_US,
                            ) -> ProtocolSpec:
     """Single-read protocol: per cycle [MW1A, MW3A, A2 laser -> read1]."""
-    cycle = Sequence("readout_cycle", (
-        mw_pi("MW1A"),
-        mw_pi("MW3A"),
-        laser("A2", laser_window_us, read_slot=1),
-    ))
-    readout = Sequence("readout", (Repeat(cycles, cycle),))
-    return ProtocolSpec(init=_init_sequence(), readout=readout,
-                        cycles=cycles, reads_per_cycle=1,
-                        laser_window_us=laser_window_us,
-                        pi_duration_us=pi_duration_us)
+    return _readout_spec("A", cycles, laser_window_us, pi_duration_us)
 
 
 def build_dual_step_readout(params: PhysicalParams,
@@ -212,19 +236,7 @@ def build_dual_step_readout(params: PhysicalParams,
                             ) -> ProtocolSpec:
     """Dual-read protocol: the A-conditioned read is followed by the
     complementary B-conditioned read every cycle."""
-    cycle = Sequence("dual_cycle", (
-        mw_pi("MW1A"),
-        mw_pi("MW3A"),
-        laser("A2", laser_window_us, read_slot=1),
-        mw_pi("MW1B"),
-        mw_pi("MW3B"),
-        laser("A2", laser_window_us, read_slot=2),
-    ))
-    readout = Sequence("dual_readout", (Repeat(cycles, cycle),))
-    return ProtocolSpec(init=_init_sequence(), readout=readout,
-                        cycles=cycles, reads_per_cycle=2,
-                        laser_window_us=laser_window_us,
-                        pi_duration_us=pi_duration_us)
+    return _readout_spec("AB", cycles, laser_window_us, pi_duration_us)
 
 
 # --- sequence text format ---------------------------------------------------

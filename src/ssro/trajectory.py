@@ -109,10 +109,6 @@ class ShotModel:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShotModel":
-        return cls(**d)
-
     def fingerprint(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -161,14 +157,21 @@ class BatchResult:
     head_window: int
     model_fingerprint: str
     protocol_fingerprint: str
-    total1: np.ndarray = field(repr=False, default=None)
+    total1: np.ndarray = field(repr=False)
+    head1: np.ndarray = field(repr=False)
+    detect1: np.ndarray = field(repr=False)
     total2: np.ndarray | None = field(repr=False, default=None)
-    head1: np.ndarray = field(repr=False, default=None)
     head2: np.ndarray | None = field(repr=False, default=None)
-    detect1: np.ndarray = field(repr=False, default=None)
     detect2: np.ndarray | None = field(repr=False, default=None)
     counts1: np.ndarray | None = field(repr=False, default=None)
     counts2: np.ndarray | None = field(repr=False, default=None)
+
+    def column(self, name: str, read: int) -> np.ndarray:
+        """Column ``name`` ("total", "head" or "detect") of read 1 or 2."""
+        if read not in range(1, self.reads_per_cycle + 1):
+            raise ValueError(f"batch has no read {read!r}: its reads are "
+                             f"1..{self.reads_per_cycle}")
+        return getattr(self, f"{name}{read}")
 
     def record(self, i: int) -> ShotRecord:
         return ShotRecord(
@@ -479,82 +482,65 @@ def simulate_batch(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
 
     Shots are partitioned into fixed-size chunks; each chunk is a pure
     function of the master seed and its shot indices, so results are
-    identical for any worker count or scheduling order.
+    identical for any worker count or scheduling order.  Microscopic chunks
+    call simulate_shot per shot; _merge joins the chunks of either mode.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     head_window = _resolve_head_window(head_window, protocol.cycles)
-    batch = BatchResult(
+
+    def run(lo):
+        hi = min(lo + _CHUNK, n_shots)
+        if model.mode == "microscopic":
+            records = [simulate_shot(model, protocol, prepared,
+                                     rng.shot_seed(master_seed, i),
+                                     params=params, optical=optical,
+                                     head_window=head_window)
+                       for i in range(lo, hi)]
+            return _record_columns(records, protocol.reads_per_cycle,
+                                   head_window, keep_cycles)
+        seeds = rng.shot_seeds(master_seed, np.arange(lo, hi, dtype=np.uint64))
+        return _simulate_chunk(model, protocol, prepared, seeds, head_window,
+                               keep_cycles)
+
+    starts = range(0, n_shots, _CHUNK)
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(run, starts))
+    else:
+        parts = [run(lo) for lo in starts]
+
+    return BatchResult(
         prepared=prepared, master_seed=master_seed, n_shots=n_shots,
         cycles=protocol.cycles, reads_per_cycle=protocol.reads_per_cycle,
         head_window=head_window,
         model_fingerprint=model.fingerprint(),
         protocol_fingerprint=protocol.fingerprint(),
-        total1=np.empty(n_shots, dtype=np.int64),
-        head1=np.empty(n_shots, dtype=np.int64),
-        detect1=np.zeros(protocol.cycles, dtype=np.int64),
-    )
-    if protocol.dual:
-        batch.total2 = np.empty(n_shots, dtype=np.int64)
-        batch.head2 = np.empty(n_shots, dtype=np.int64)
-        batch.detect2 = np.zeros(protocol.cycles, dtype=np.int64)
-    if keep_cycles:
-        batch.counts1 = np.zeros((n_shots, protocol.cycles), dtype=np.int16)
-        if protocol.dual:
-            batch.counts2 = np.zeros((n_shots, protocol.cycles), dtype=np.int16)
-
-    if model.mode == "microscopic":
-        for i in range(n_shots):
-            rec = simulate_shot(model, protocol, prepared,
-                                rng.shot_seed(master_seed, i),
-                                params=params, optical=optical,
-                                head_window=head_window)
-            _store_record(batch, i, rec, keep_cycles)
-        return batch
-
-    chunks = [(lo, min(lo + _CHUNK, n_shots)) for lo in range(0, n_shots, _CHUNK)]
-
-    def run(span):
-        lo, hi = span
-        seeds = rng.shot_seeds(master_seed, np.arange(lo, hi, dtype=np.uint64))
-        return lo, hi, _simulate_chunk(model, protocol, prepared, seeds,
-                                       head_window, keep_cycles)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(span) for span in chunks]
-
-    for lo, hi, r in sorted(results, key=lambda x: x[0]):
-        batch.total1[lo:hi] = r["total1"]
-        batch.head1[lo:hi] = r["head1"]
-        batch.detect1 += r["detect1"]
-        if protocol.dual:
-            batch.total2[lo:hi] = r["total2"]
-            batch.head2[lo:hi] = r["head2"]
-            batch.detect2 += r["detect2"]
-        if keep_cycles:
-            batch.counts1[lo:hi] = r["counts1"]
-            if protocol.dual:
-                batch.counts2[lo:hi] = r["counts2"]
-    return batch
+        **_merge(parts))
 
 
-def _store_record(batch, i, rec, keep_cycles):
-    batch.total1[i] = rec.total1
-    batch.head1[i] = rec.head1
-    counts1 = np.asarray(rec.counts_read1)
-    batch.detect1 += counts1 >= 1
-    if rec.total2 is not None:
-        batch.total2[i] = rec.total2
-        batch.head2[i] = rec.head2
-        counts2 = np.asarray(rec.counts_read2)
-        batch.detect2 += counts2 >= 1
-    if keep_cycles:
-        batch.counts1[i] = counts1
-        if rec.counts_read2 is not None:
-            batch.counts2[i] = np.asarray(rec.counts_read2)
+def _record_columns(records, reads, head_window, keep_cycles):
+    """The columns _simulate_chunk returns, from the records of its shots."""
+    out = dict(total2=None, head2=None, detect2=None, counts2=None)
+    for r in range(1, reads + 1):
+        counts = np.array([getattr(rec, f"counts_read{r}") for rec in records])
+        out[f"total{r}"] = counts.sum(axis=1)
+        out[f"head{r}"] = counts[:, :head_window].sum(axis=1)
+        out[f"detect{r}"] = (counts >= 1).sum(axis=0)
+        out[f"counts{r}"] = counts.astype(np.int16) if keep_cycles else None
+    return out
+
+
+def _merge(parts):
+    """One batch's columns from its chunks' columns, in shot order: per-shot
+    columns are concatenated and detection curves summed."""
+    merged = dict.fromkeys(parts[0])
+    for key in merged:
+        columns = [part[key] for part in parts]
+        if columns[0] is not None:
+            merged[key] = (sum(columns) if key.startswith("detect")
+                           else np.concatenate(columns))
+    return merged
 
 
 def cycle_detection_curve(batch: BatchResult, read: int = 1):
@@ -565,10 +551,7 @@ def cycle_detection_curve(batch: BatchResult, read: int = 1):
     """
     if batch.n_shots < 1:
         raise ValueError("empty batch")
-    detect = batch.detect1 if read == 1 else batch.detect2
-    if detect is None:
-        raise ValueError(f"batch has no read{read} data")
-    p = detect / batch.n_shots
+    p = batch.column("detect", read) / batch.n_shots
     se = np.sqrt(np.clip(p * (1 - p), 0, None) / batch.n_shots)
     return p, se
 
@@ -610,7 +593,7 @@ def _simulate_shot_microscopic(model, protocol, prepared, seed, params,
     curve = propagate(optical, protocol.laser_window_us)
     lam_bright = curve.detected_photons()
     pump_out = curve.pump_fidelity(protocol.laser_window_us)
-    body = protocol.readout.blocks[0].body.blocks
+    body = protocol.cycle_pulses
     most = 1 + sum(2 if p.read_slot else p.kind == "mw_pi" for p in body)
     stream = _Draws(seed, 2 + protocol.cycles * most)
 

@@ -150,6 +150,44 @@ class TestHistograms:
         np.testing.assert_array_equal(marginal.counts_up[:n],
                                       direct.counts_up[:n])
 
+    @pytest.mark.parametrize("read", [0, 3])
+    def test_invalid_read_index_rejected(self, batches, read):
+        with pytest.raises(ValueError, match="has no read"):
+            CountHistogram.from_batches(*batches, read=read)
+
+    def test_read2_of_single_read_batches_rejected(self, batches):
+        with pytest.raises(ValueError, match="has no read 2"):
+            CountHistogram.from_batches(*batches, read=2)
+
+    def test_read2_histograms_total2(self, cal, params):
+        proto = build_dual_step_readout(params, cycles=20)
+        up = simulate_batch(cal, proto, Nuclear.UP, 500, master_seed=7)
+        dn = simulate_batch(cal, proto, Nuclear.DOWN, 500, master_seed=8)
+        hist = CountHistogram.from_batches(up, dn, read=2)
+        np.testing.assert_array_equal(
+            hist.counts_up, np.bincount(up.total2, minlength=len(hist.bins)))
+
+    def test_joint_csv_matches_cell_walk(self, params, tmp_path):
+        # a bright model spreads the shots over many cells, some empty
+        model = ShotModel(lambda_bright=0.5, lambda_dark=0.05)
+        proto = build_dual_step_readout(params, cycles=40)
+        joint = JointHistogram.from_batches(
+            simulate_batch(model, proto, Nuclear.UP, 3000, master_seed=7),
+            simulate_batch(model, proto, Nuclear.DOWN, 3000, master_seed=8))
+        rows = []
+        for (i, j), c_up in np.ndenumerate(joint.counts_up):
+            c_dn = joint.counts_dn[i, j]
+            if c_up or c_dn:
+                rows.append((i, j, c_up, c_dn))
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, np.asarray(rows, dtype=np.int64), fmt="%d",
+                   delimiter=",", header="total_read1,total_read2,"
+                   "count_up_prepared,count_dn_prepared", comments="")
+        got = tmp_path / "joint.csv"
+        joint.to_csv(got)
+        assert (joint.counts_up == 0).any() and len(rows) > 100
+        assert got.read_bytes() == ref.read_bytes()
+
     def test_csv_headers(self, batches, tmp_path):
         up, dn = batches
         hist = CountHistogram.from_batches(up, dn)

@@ -66,6 +66,27 @@ class TestExitCodes:
         assert main(["scenario", "--override", "nonsense",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--shots", "0"], "--shots"),
+        (["simulate", "--shots", "-5"], "--shots"),
+        (["scenario", "--budget-ms", "0"], "--budget-ms"),
+        (["scenario", "--budget-ms", "-1"], "--budget-ms"),
+        (["pump", "--duration", "0"], "--duration"),
+        (["odmr", "--step", "0"], "--step"),
+        (["odmr", "--step", "-0.1"], "--step"),
+        (["odmr", "--populations", "a,b"], "--populations"),
+        (["odmr", "--populations", "0.5,0.6"], "--populations"),
+    ], ids=["shots-0", "shots-negative", "budget-0", "budget-negative",
+            "duration-0", "step-0", "step-negative", "populations-text",
+            "populations-sum"])
+    def test_invalid_number_is_a_one_line_usage_error(self, tmp_path, capsys,
+                                                      argv, name):
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and name in err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"shot_model": {"bogus": 1}}')

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssro.model import Electron, Nuclear, PhysicalParams, RegisterState
-from ssro.protocol import (ProtocolError, Pulse, Repeat, Sequence,
-                           SequenceSyntaxError,
+from ssro.protocol import (ProtocolError, ProtocolSpec, Pulse, Repeat,
+                           Sequence, SequenceSyntaxError,
                            build_dual_step_readout, build_standard_readout,
                            gate_action, laser, mw_pi, parse_sequence,
                            print_sequence, wait)
@@ -50,6 +50,67 @@ class TestBuilders:
     def test_zero_cycles_rejected(self, params, builder):
         with pytest.raises(ProtocolError):
             builder(params, cycles=0)
+
+
+# fingerprints of the builders' specs before ProtocolSpec read its layout
+# from the readout sequence; saved batch files carry these values
+_FINGERPRINTS = {
+    build_standard_readout: {1: "3a2a09f43237713e", 3: "31bf4d24a9f1b5ab",
+                             250: "94ff1d4f49b67ae2", 1000: "5f4da9448f2ed5e8"},
+    build_dual_step_readout: {1: "4c58c6aae4a8504a", 3: "ce08d3a5a22046f1",
+                              250: "ac019f07c2ed546b", 1000: "20d253c8b1a5992d"},
+}
+
+
+class TestSpecLayout:
+    @pytest.mark.parametrize("builder", list(_FINGERPRINTS))
+    @pytest.mark.parametrize("cycles", [1, 3, 250, 1000])
+    def test_builder_fingerprints_unchanged(self, params, builder, cycles):
+        spec = builder(params, cycles=cycles)
+        assert spec.fingerprint() == _FINGERPRINTS[builder][cycles]
+
+    def test_layout_is_read_from_the_sequence(self, params):
+        readout = parse_sequence("repeat 10 { mw_pi MW1A; mw_pi MW3A; "
+                                 "laser A2 2us read1; mw_pi MW1B; "
+                                 "mw_pi MW3B; laser A2 2us read2; }")
+        spec = ProtocolSpec(build_standard_readout(params).init, readout)
+        assert (spec.cycles, spec.reads_per_cycle, spec.laser_window_us,
+                spec.dual) == (10, 2, 2.0, True)
+        assert spec.cycle_pulses == readout.blocks[0].body.blocks
+
+    def test_layout_is_not_a_field(self, params):
+        # a layout given beside the sequence could disagree with it
+        init = build_standard_readout(params).init
+        readout = parse_sequence("repeat 10 { mw_pi MW1A; mw_pi MW3A; "
+                                 "laser A2 1.5us read1; }")
+        with pytest.raises(TypeError):
+            ProtocolSpec(init, readout, cycles=250, reads_per_cycle=2)
+
+    @pytest.mark.parametrize("text, match", [
+        ("repeat 2 { laser A2 1.5us read1; } repeat 2 { laser A2 1.5us "
+         "read1; }", "single repeat"),
+        ("laser A2 1.5us read1;", "single repeat"),
+        ("repeat 2 { mw_pi MW3A; repeat 2 { laser A2 1.5us read1; } }",
+         "only pulses"),
+        ("repeat 2 { mw_pi MW3A; laser A2 1.5us read2; }", "read slots"),
+        ("repeat 2 { laser A2 1.5us read2; laser A2 1.5us read1; }",
+         "read slots"),
+        ("repeat 2 { laser A2 1.5us read1; laser A2 1.5us read1; }",
+         "read slots"),
+        ("repeat 2 { mw_pi MW3A; laser A2 1.5us; }", "read slots"),
+        ("repeat 2 { laser A2 1.5us read1; laser A2 2us read2; }",
+         "one duration"),
+    ], ids=["two-blocks", "no-repeat", "nested-repeat", "slot2-alone",
+            "slots-2-1", "slot1-twice", "no-slot", "unequal-windows"])
+    def test_readouts_the_samplers_cannot_run_rejected(self, params, text,
+                                                       match):
+        init = build_standard_readout(params).init
+        with pytest.raises(ProtocolError, match=match):
+            ProtocolSpec(init, parse_sequence(text))
+
+    def test_read_slot_only_on_laser(self):
+        with pytest.raises(ProtocolError, match="laser"):
+            Pulse("wait", duration_us=1.0, read_slot=1)
 
 
 class TestPulseValidation:

@@ -266,6 +266,19 @@ class TestDetectionCurve:
         with pytest.raises(ValueError):
             cycle_detection_curve(batch, read=2)
 
+    @pytest.mark.parametrize("read", [0, 3, -1])
+    def test_invalid_read_index_rejected(self, dual_protocol, read):
+        batch = simulate_batch(ideal_model(), dual_protocol,
+                               Nuclear.UP, 10, master_seed=1)
+        with pytest.raises(ValueError, match="has no read"):
+            cycle_detection_curve(batch, read=read)
+
+    def test_read2_of_single_read_batch_names_the_read(self, protocol):
+        batch = simulate_batch(ideal_model(), protocol, Nuclear.UP, 10,
+                               master_seed=1)
+        with pytest.raises(ValueError, match="has no read 2"):
+            cycle_detection_curve(batch, read=2)
+
 
 class TestDualProtocol:
     def test_reads_are_complementary(self, dual_protocol):
