@@ -878,8 +878,13 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
 
     Reports the threshold-optimized fidelity of the count distributions
     and the conditional-mode fidelity at the proportionally scaled
-    post-selection window.
+    post-selection window.  Both are single-read rules, so a dual-read
+    protocol raises AnalysisError.
     """
+    if protocol.dual:
+        raise AnalysisError(
+            "scenario models single-read readout; the protocol reads twice "
+            "per cycle (dual)")
     overrides = dict(overrides or {})
     given = ", ".join(f"{k}={v!r}" for k, v in overrides.items())
     for key, value in overrides.items():

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["shot_seed", "shot_seeds", "uniforms", "poisson_kmax",
-           "poisson_from_uniform", "geometric_from_uniform"]
+__all__ = ["shot_seed", "shot_seeds", "bits", "to_unit", "uniforms",
+           "poisson_kmax", "poisson_from_uniform", "geometric_from_uniform"]
 
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
@@ -29,7 +29,10 @@ def _finalize(z):
     return z ^ (z >> _U64(31))
 
 
-def _to_unit(z):
+def to_unit(z):
+    """Uniform [0, 1) values of splitmix64 words: their top 53 bits times
+    2**-53.  So for x < 1, ``to_unit(z) >= x`` exactly when
+    ``z >= ceil(x * 2**53) << 11``."""
     return (z >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
@@ -45,18 +48,23 @@ def shot_seed(master_seed: int, shot_index: int) -> int:
     return int(shot_seeds(master_seed, np.array([shot_index]))[0])
 
 
-def uniforms(seeds: np.ndarray, draw_index) -> np.ndarray:
-    """Uniform [0, 1) draw number `draw_index` for each stream in `seeds`.
+def bits(seeds: np.ndarray, draw_index) -> np.ndarray:
+    """The uint64 splitmix64 word of draw number `draw_index` for each
+    stream in `seeds`.
 
     `draw_index` is an int or an array of non-negative ints that broadcasts
-    against `seeds`: ``uniforms(seeds[None, :], js[:, None])`` holds draw
-    ``js[k]`` of every stream in row k, identical to ``uniforms(seeds,
-    js[k])``.
+    against `seeds`: ``bits(seeds[None, :], js[:, None])`` holds draw
+    ``js[k]`` of every stream in row k, identical to ``bits(seeds, js[k])``.
     """
     with np.errstate(over="ignore"):
-        z = _finalize(np.asarray(seeds, dtype=np.uint64)
-                      + _U64(draw_index + 1) * _GAMMA)
-    return _to_unit(z)
+        return _finalize(np.asarray(seeds, dtype=np.uint64)
+                         + _U64(draw_index + 1) * _GAMMA)
+
+
+def uniforms(seeds: np.ndarray, draw_index) -> np.ndarray:
+    """Uniform [0, 1) draw number `draw_index` for each stream in `seeds`:
+    ``to_unit(bits(seeds, draw_index))``, broadcasting as bits does."""
+    return to_unit(bits(seeds, draw_index))
 
 
 def poisson_kmax(lam_max: float) -> int:

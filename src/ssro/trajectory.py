@@ -18,8 +18,8 @@ batches are bit-reproducible for a given master seed under any chunking
 or worker schedule, and any record can be replayed from its shot seed.
 
 The effective sampler works on chunks of shots.  It draws the flip cycles
-per shot, then streams over blocks of cycles: each block's read uniforms
-come from one rng.uniforms call, and a state and a Poisson count are
+per shot, then streams over blocks of cycles: each block's read draws
+come from one rng.bits call, and a state and a Poisson count are
 computed only for the few uniforms that can give a photon at either rate
 (about 3 % at the calibrated rates).  The counts equal those of a dense
 pass over every (shot, cycle) element; see _read_counts.
@@ -27,7 +27,9 @@ pass over every (shot, cycle) element; see _read_counts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field, replace
 
@@ -62,6 +64,7 @@ _J_READ = _J_FLIP + _MAX_FLIPS
 
 _CHUNK = 16384
 _READ_BLOCK = 8       # cycles of read uniforms drawn per block
+_IO_BLOCK = 1024      # batch-file records written or parsed per block
 
 # rng.poisson_from_uniform starts its inverse CDF at exp(-lambda), which
 # stays a normal double only up to lambda ~ 708; beyond it every count
@@ -189,7 +192,11 @@ class BatchResult:
         """One JSON record per line after a header line.
 
         Per-cycle count arrays are included only on request to keep
-        million-shot files small.
+        million-shot files small.  The records are written _IO_BLOCK shots
+        at a time: each column's slice becomes Python ints with one tolist
+        call, and one format template gives each line the text json.dumps
+        gives the record, keys in the same order, so the file is byte for
+        byte the one a json.dumps per record writes.
         """
         if full_cycles and self.counts1 is None:
             raise ValueError("batch was simulated without keep_cycles")
@@ -206,65 +213,72 @@ class BatchResult:
             detect1=self.detect1.tolist(),
             detect2=None if self.detect2 is None else self.detect2.tolist(),
         )
-        seeds = rng.shot_seeds(
-            self.master_seed, np.arange(self.n_shots, dtype=np.uint64)).tolist()
-        total1, head1 = self.total1.tolist(), self.head1.tolist()
+        columns = {"total1": self.total1, "head1": self.head1}
         if self.total2 is not None:
-            total2, head2 = self.total2.tolist(), self.head2.tolist()
+            columns.update(total2=self.total2, head2=self.head2)
+        if full_cycles:
+            columns["counts1"] = self.counts1
+            if self.counts2 is not None:
+                columns["counts2"] = self.counts2
+        line = "{{" + ", ".join(f'"{key}": {{}}' for key in
+                                ("shot", "seed", *columns)) + "}}\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header) + "\n")
-            for i in range(self.n_shots):
-                rec = {
-                    "shot": i,
-                    "seed": seeds[i],
-                    "total1": total1[i],
-                    "head1": head1[i],
-                }
-                if self.total2 is not None:
-                    rec["total2"] = total2[i]
-                    rec["head2"] = head2[i]
-                if full_cycles:
-                    rec["counts1"] = self.counts1[i].tolist()
-                    if self.counts2 is not None:
-                        rec["counts2"] = self.counts2[i].tolist()
-                fh.write(json.dumps(rec) + "\n")
+            for lo in range(0, self.n_shots, _IO_BLOCK):
+                hi = min(lo + _IO_BLOCK, self.n_shots)
+                seeds = rng.shot_seeds(self.master_seed,
+                                       np.arange(lo, hi, dtype=np.uint64))
+                fh.write("".join(map(
+                    line.format, range(lo, hi), seeds.tolist(),
+                    *(col[lo:hi].tolist() for col in columns.values()))))
 
     @classmethod
     def load_jsonl(cls, path) -> "BatchResult":
+        """Read a save_jsonl file, _IO_BLOCK records at a time.
+
+        Each block of lines is parsed with one JSON decode and sliced into
+        the columns; per-cycle counts are read when the first record
+        holds them.  A file that is not a batch file, a line that is not one
+        JSON record, a record that lacks a column or holds a value of the
+        wrong shape, or shots other than 0..n-1 in order raise ValueError
+        naming the file and the line (or, where a value cannot be placed,
+        the first line of its block).
+        """
         with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("kind") != "batch_header":
+            try:
+                header = json.loads(fh.readline())
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line 1 is not JSON "
+                                 f"({exc.msg})") from None
+            if not isinstance(header, dict) \
+                    or header.get("kind") != "batch_header":
                 raise ValueError(f"{path}: not a batch file")
             n = header["n_shots"]
             dual = header["reads_per_cycle"] == 2
-            total1 = np.empty(n, dtype=np.int64)
-            head1 = np.empty(n, dtype=np.int64)
-            total2 = np.empty(n, dtype=np.int64) if dual else None
-            head2 = np.empty(n, dtype=np.int64) if dual else None
-            counts1 = None
-            counts2 = None
-            i = -1
-            for i, line in enumerate(fh):
-                rec = json.loads(line)
-                if i >= n or rec.get("shot") != i:
+            columns = {name: np.empty(n, dtype=np.int64) for name in
+                       ("total1", "head1", "total2", "head2")[:4 if dual else 2]}
+            i = 0
+            while lines := list(itertools.islice(fh, _IO_BLOCK)):
+                recs = _parse_records(path, lines, i + 2)
+                shots = _field(path, recs, "shot", i + 2)
+                expected = np.arange(i, i + len(recs))
+                bad = np.flatnonzero((shots != expected) | (expected >= n))
+                if bad.size:
+                    k = bad[0]
                     raise ValueError(
-                        f"{path}: line {i + 2} holds shot {rec.get('shot')}; "
-                        f"expected shots 0..{n - 1} in order")
-                total1[i] = rec["total1"]
-                head1[i] = rec["head1"]
-                if dual:
-                    total2[i] = rec["total2"]
-                    head2[i] = rec["head2"]
-                if "counts1" in rec:
-                    if counts1 is None:
-                        counts1 = np.zeros((n, header["cycles"]), dtype=np.int16)
-                    counts1[i] = rec["counts1"]
-                    if dual:
-                        if counts2 is None:
-                            counts2 = np.zeros((n, header["cycles"]), dtype=np.int16)
-                        counts2[i] = rec["counts2"]
-            if i + 1 != n:
-                raise ValueError(f"{path}: {i + 1} shot records, header "
+                        f"{path}: line {i + k + 2} holds shot "
+                        f"{recs[k]['shot']}; expected shots "
+                        f"0..{n - 1} in order")
+                if i == 0 and "counts1" in recs[0]:
+                    for name in ("counts1", "counts2")[:2 if dual else 1]:
+                        columns[name] = np.zeros((n, header["cycles"]),
+                                                 dtype=np.int16)
+                for name, out in columns.items():
+                    out[i:i + len(recs)] = _field(path, recs, name, i + 2,
+                                                  out.dtype, out.shape[1:])
+                i += len(recs)
+            if i != n:
+                raise ValueError(f"{path}: {i} shot records, header "
                                  f"declares {n}")
         return cls(
             prepared=Nuclear(header["prepared"]),
@@ -275,12 +289,66 @@ class BatchResult:
             head_window=header["head_window"],
             model_fingerprint=header["model_fingerprint"],
             protocol_fingerprint=header["protocol_fingerprint"],
-            total1=total1, total2=total2, head1=head1, head2=head2,
             detect1=np.asarray(header["detect1"], dtype=np.int64),
             detect2=(None if header["detect2"] is None
                      else np.asarray(header["detect2"], dtype=np.int64)),
-            counts1=counts1, counts2=counts2,
+            **columns,
         )
+
+
+def _not_integer(text):
+    raise ValueError(f"non-integer number {text}")
+
+
+# batch records hold only integers, strings and lists; a float, NaN or
+# Infinity is a malformed record, not a count to truncate
+_decode = json.JSONDecoder(parse_float=_not_integer,
+                           parse_constant=_not_integer).decode
+
+
+def _parse_records(path, lines, first_line):
+    """The records of consecutive batch-file ``lines``, the first of which
+    is line ``first_line``, parsed with one decoder call on the lines joined
+    into a JSON array.
+
+    On a parse failure, or a record count other than the line count (two
+    records on one line), the lines are parsed one by one, which names the
+    bad line.
+    """
+    try:
+        recs = _decode("[" + ",".join(lines) + "]")
+        if len(recs) == len(lines):
+            return recs
+    except ValueError:
+        pass
+    recs = []
+    for k, line in enumerate(lines):
+        try:
+            recs.append(_decode(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {first_line + k} is not a JSON "
+                             f"record of integers "
+                             f"({getattr(exc, 'msg', exc)})") from None
+    return recs
+
+
+def _field(path, recs, name, first_line, dtype=np.int64, shape=()):
+    """Field ``name`` of every record in ``recs`` (the first from line
+    ``first_line``) as an array of ``dtype`` with rows of ``shape``."""
+    try:
+        values = np.array([rec[name] for rec in recs], dtype=dtype)
+        if values.shape[1:] == shape:
+            return values
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    for k, rec in enumerate(recs):
+        if not isinstance(rec, dict) or name not in rec:
+            raise ValueError(f"{path}: line {first_line + k} has no "
+                             f"{name!r} field")
+    kind = np.dtype(dtype).name
+    what = f"rows of {shape[0]} {kind} values" if shape else f"{kind} values"
+    raise ValueError(f"{path}: the {name!r} values of lines {first_line}.."
+                     f"{first_line + len(recs) - 1} are not all {what}")
 
 
 def _flip_cap_error(rate_cycled: float, rate_idle: float,
@@ -373,11 +441,13 @@ def _read_counts(model, seeds, first_draw, cycles, head_window, bright0,
     when bright and ``active[i]``, else at lambda_dark, and cycle c uses
     draw ``first_draw + c - 1`` of its stream.
 
-    The reads are drawn _READ_BLOCK cycles at a time, with one
-    rng.uniforms call per block.  A uniform below both exp(-lambda_bright)
+    The reads are drawn _READ_BLOCK cycles at a time, as the raw words of
+    one rng.bits call per block.  A uniform below both exp(-lambda_bright)
     and exp(-lambda_dark) is a zero count in either state, because
     poisson_from_uniform returns 0 wherever u < exp(-lam).  Only the
-    candidates, u >= ``cut``, get a state and a Poisson count.  ``cut``
+    candidates, u >= ``cut``, are turned into uniforms and get a state and
+    a Poisson count; they are found on the words, as z >= ``zcut``, which
+    is the same test (see rng.to_unit).  ``cut``
     lies a relative 1e-12 below the smaller exp(-lam), far more than any
     rounding difference between exp of a scalar here and exp of the rate
     array inside poisson_from_uniform, so no element that could count is
@@ -394,21 +464,22 @@ def _read_counts(model, seeds, first_draw, cycles, head_window, bright0,
     kmax = rng.poisson_kmax(max(lam_on if (active & has_on).any() else 0.0,
                                 lam_off if (~active | has_off).any() else 0.0))
     cut = np.exp(-max(lam_on, lam_off)) * (1.0 - 1e-12)
+    zcut = np.uint64(math.ceil(cut * 2.0 ** 53) << 11)
 
     row = seeds[None, :]
     hits = []
     for c0 in range(0, cycles, _READ_BLOCK):
         draws = np.arange(first_draw + c0,
                           first_draw + min(c0 + _READ_BLOCK, cycles))
-        u = rng.uniforms(row, draws[:, None]).ravel()
-        cand = np.flatnonzero(u >= cut)
+        z = rng.bits(row, draws[:, None]).ravel()
+        cand = np.flatnonzero(z >= zcut)
         cycle, shot = np.divmod(cand, n)
         cycle += c0 + 1
         bright = bright0[shot]
         for b in bounds:
             bright ^= cycle >= b[shot]
         lam = np.where(bright & active[shot], lam_on, lam_off)
-        k = rng.poisson_from_uniform(u[cand], lam, kmax)
+        k = rng.poisson_from_uniform(rng.to_unit(z[cand]), lam, kmax)
         hit = k > 0
         hits.append((shot[hit], cycle[hit], k[hit]))
 

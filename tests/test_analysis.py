@@ -537,6 +537,10 @@ class TestScenario:
                                  f"charge_error"):
             scenario(cal, protocol, overrides={key: value})
 
+    def test_dual_protocol_rejected(self, cal, params):
+        with pytest.raises(AnalysisError, match="single-read"):
+            scenario(cal, build_dual_step_readout(params))
+
     def test_zeroed_field_override_applies_without_readout_only(
             self, cal, protocol):
         base = scenario(cal, protocol, readout_only=False)

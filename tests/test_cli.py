@@ -208,6 +208,14 @@ class TestSmallCommands:
         assert f"override {key} has no effect" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "scenario.json"))
 
+    def test_scenario_rejects_dual_protocol(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv(ENV_PREFIX + "PROTOCOL__KIND", '"dual"')
+        out = str(tmp_path)
+        assert main(["scenario", "--out", out]) == 3
+        assert "single-read" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "scenario.json"))
+
     def test_fit_flip(self, tmp_path):
         # plumbing only: statistical recovery is covered by the analysis
         # tests and the acceptance suite at full scale

@@ -374,6 +374,57 @@ class TestRecordsAndSerialization:
         with pytest.raises(ValueError, match=f"{damage}.jsonl"):
             BatchResult.load_jsonl(bad)
 
+    # (damage, file line the error names); record i sits on line i + 2
+    @pytest.mark.parametrize("damage,line", [
+        ("not_json", 52), ("cut_last_line", 101), ("blank_line", 30),
+        ("two_records_on_a_line", 40), ("no_total1", 32), ("list_record", 7),
+        ("float_counts", 101), ("header_not_json", 1)])
+    def test_jsonl_rejects_malformed_lines(self, protocol, tmp_path, damage,
+                                           line):
+        batch = simulate_batch(calibrated_shot_model(), protocol, Nuclear.UP,
+                               100, master_seed=7, keep_cycles=True)
+        path = tmp_path / "batch.jsonl"
+        batch.save_jsonl(path, full_cycles=damage == "float_counts")
+        lines = path.read_text().splitlines(keepends=True)
+        if damage == "not_json":
+            lines[51] = "garbage\n"
+        elif damage == "cut_last_line":
+            lines[-1] = lines[-1][:20]
+        elif damage == "blank_line":
+            lines.insert(29, "\n")
+        elif damage == "two_records_on_a_line":
+            lines[39] = lines[39].rstrip("\n") + ", " + lines[40]
+            del lines[40]
+        elif damage == "no_total1":
+            rec = json.loads(lines[31])
+            del rec["total1"]
+            lines[31] = json.dumps(rec) + "\n"
+        elif damage == "list_record":
+            lines[6] = "[1, 2]\n"
+        elif damage == "float_counts":
+            rec = json.loads(lines[-1])
+            rec["counts1"][3] = 0.5
+            lines[-1] = json.dumps(rec) + "\n"
+        else:
+            lines[0] = lines[0][:-30] + "\n"
+        bad = tmp_path / f"{damage}.jsonl"
+        bad.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"{damage}.jsonl: .*line {line}"):
+            BatchResult.load_jsonl(bad)
+
+
+def test_word_cut_is_the_uniform_cut():
+    """_read_counts tests z >= ceil(cut * 2**53) << 11 on the raw words in
+    place of to_unit(z) >= cut."""
+    seeds = rng.shot_seeds(3, np.arange(4096, dtype=np.uint64))
+    z = rng.bits(seeds[None, :], np.arange(16)[:, None]).ravel()
+    for cut in np.concatenate([np.exp(-np.array([0.028, 0.0016, 1.0, 1e-9])),
+                               rng.to_unit(z[:64]), [0.5 + 2.0 ** -54]]):
+        zcut = np.uint64(int(np.ceil(cut * 2.0 ** 53)) << 11)
+        near = np.concatenate([z, [zcut - np.uint64(1), zcut,
+                                   zcut + np.uint64(1)]])
+        np.testing.assert_array_equal(near >= zcut, rng.to_unit(near) >= cut)
+
 
 class TestMicroscopicMode:
     def test_tracks_electron_and_emits(self, params, protocol):
