@@ -16,9 +16,9 @@ from .trajectory import (ShotModel, ShotRecord, BatchResult, simulate_shot,
                          calibrated_shot_model)
 from .analysis import (CountHistogram, JointHistogram, ClassifierConfig,
                        FidelityReport, FitTargets, REFERENCE_TARGETS,
-                       classify, exact_count_pmf, exact_head_tail_pmf,
-                       exact_dual_pmf, fidelity_report, exact_fidelity_report,
-                       fit_flip_rate, fit_shot_model, optimize_threshold,
-                       scenario, wilson_interval, estimate_peak_separation)
+                       exact_count_pmf, exact_head_tail_pmf, exact_dual_pmf,
+                       fidelity_report, exact_fidelity_report, fit_flip_rate,
+                       fit_shot_model, optimize_threshold, scenario,
+                       wilson_interval, estimate_peak_separation)
 
 __version__ = "0.1.0"

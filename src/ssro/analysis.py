@@ -1,21 +1,28 @@
 """Count statistics, classification, post-selection and parameter fitting.
 
-The analytic core is a dynamic program over (cycle, nuclear state) with
-Poisson emissions per read window, giving exact count distributions for
-the effective shot model.  It serves as the oracle the Monte Carlo engine
-is validated against, and powers threshold optimization, model fitting
-and improvement scenarios without sampling noise.
+Two exact laws, each a dynamic program over (cycle, nuclear state) with
+Poisson emissions per read window, give the count distributions of the
+effective shot model.  The single read is the head/tail law
+``exact_head_tail_pmf``: the photons in and after the post-selection
+window, whose anti-diagonal sums are the read total and whose full-window
+case (an empty tail) is ``exact_count_pmf``.  The dual read is the
+occupancy law ``exact_dual_pmf``: the number of bright cycles, given which
+the two read totals are independent Poisson variables.  The laws are the
+oracle the Monte Carlo engine is validated against, and drive the exact
+reports, threshold optimization, model fitting and scenarios.
 
 Every readout rule is applied to outcome tables: one array per prepared
 state over the outcomes the rule reads, the total (raw), the photons in
 and after the head window (conditional) or the two read totals
 (dual_step).  A sampled table holds shot counts, built by one
 ``np.bincount`` (a report merges the counts above cutoff + 1, which every
-rule scores alike); an exact one holds the probabilities of the count DPs.
-``_score`` is the only place that compares a count with the cutoff or
-decides which shots a mode keeps, so the sampled and the exact fidelity
-reports and the shot-model fit cannot drift apart; the histograms share
-the table builder.
+rule scores alike); an exact one holds probabilities.  ``_score`` is the
+only place that compares a count with the cutoff or decides which shots a
+mode keeps, and ``_rates`` turns its weights into misread rates,
+fidelity and efficiency, so the sampled and the exact fidelity reports,
+the shot-model fit and ``scenario`` cannot drift apart;
+``optimize_threshold`` scans the same raw rule in cumulative form.  The
+histograms share the table builder.
 """
 from __future__ import annotations
 
@@ -41,7 +48,6 @@ __all__ = [
     "ScenarioReport",
     "AnalysisError",
     "wilson_interval",
-    "classify",
     "exact_count_pmf",
     "exact_head_tail_pmf",
     "exact_dual_pmf",
@@ -150,15 +156,6 @@ class JointHistogram:
                             (batch_dn.total1, batch_dn.total2)),
                    batch_up.n_shots, batch_dn.n_shots)
 
-    def read1_marginal(self) -> CountHistogram:
-        return CountHistogram(
-            bins=np.arange(self.counts_up.shape[0]),
-            counts_up=self.counts_up.sum(axis=1),
-            counts_dn=self.counts_dn.sum(axis=1),
-            shots_up=self.shots_up,
-            shots_dn=self.shots_dn,
-        )
-
     def to_csv(self, path) -> None:
         """One row per cell that holds a shot of either preparation, in
         row-major order."""
@@ -199,17 +196,13 @@ class ClassifierConfig:
         return max(1, round(cycles * self.window / 250))
 
 
-def classify(total, config: ClassifierConfig = ClassifierConfig()) -> Nuclear:
-    """Threshold classification of one shot total (bright iff total > cutoff)."""
-    total = getattr(total, "total1", total)
-    return Nuclear.UP if total > config.cutoff else Nuclear.DOWN
-
-
 # --- exact distributions (oracle) ----------------------------------------------
 
-def _check_effective(model: ShotModel):
+def _check_effective(model: ShotModel, cycles: int):
     if model.mode != "effective":
         raise AnalysisError("exact distributions support only effective-mode models")
+    if cycles < 1:
+        raise AnalysisError(f"cycles must be >= 1, got {cycles!r}")
 
 
 def _pad(poly: np.ndarray, n: int) -> np.ndarray:
@@ -270,40 +263,32 @@ def _mix(model: ShotModel, good: np.ndarray, inverted: np.ndarray,
     return pmf
 
 
-def exact_count_pmf(model: ShotModel, cycles: int, prepared: Nuclear,
-                    dual: bool = False) -> np.ndarray:
-    """Exact PMF of the read-1 total for the effective model.
+def exact_count_pmf(model: ShotModel, cycles: int,
+                    prepared: Nuclear) -> np.ndarray:
+    """Exact PMF of the read total for the single-read protocol.
 
-    Forward recursion over (cycle, nuclear state): each cycle first mixes
-    the state by the flip probabilities, then convolves the state-matched
-    Poisson emission kernel.  The cycle is one 2x2 matrix of count
-    polynomials, applied ``cycles`` times by repeated squaring with every
-    product truncated at the support length: O(L^2 log cycles) time and
-    O(L) memory.  Initialization and charge errors enter as a mixture.
-    ``dual`` selects the dual protocol's flip behaviour (both states
-    cycled); the returned marginal is still read 1.
+    This is the single-read (head/tail) law of ``exact_head_tail_pmf`` at
+    the full window: its tail is empty, so the total is the head, column 0
+    of that table.  The dual read has its own (occupancy) law in
+    ``exact_dual_pmf``.  The raw exact report and the CLI's threshold
+    scan read this PMF; the shot-model fit and ``scenario`` read their
+    totals from the head/tail tables they score anyway.
     """
-    _check_effective(model)
-    lmax = _pmf_length(model, cycles)
-    kb = _poisson_kernel(model.lambda_bright)
-    kd = _poisson_kernel(model.lambda_dark)
-    power = _cycle_power(kb, kd, *model.flip_rates(dual), cycles, lmax)
-    start = 0 if prepared is Nuclear.UP else 1
-    return _mix(model, _from_state(power, start, lmax),
-                _from_state(power, 1 - start, lmax),
-                _pad(_poisson_kernel(model.lambda_dark * cycles), lmax))
+    return exact_head_tail_pmf(model, cycles, cycles, prepared)[:, 0]
 
 
 def exact_head_tail_pmf(model: ShotModel, cycles: int, window: int,
                         prepared: Nuclear) -> np.ndarray:
-    """Joint PMF over (photons in cycles 1..window, photons after) for the
-    single-read protocol; drives exact conditional post-selection rates.
+    """Joint PMF over (photons in cycles 1..window, photons after): the
+    single-read law.
 
     The tail depends on the head only through the nuclear state at the
     window boundary, so the joint PMF is the sum over that state of the
-    outer product of head and tail count PMFs.
+    outer product of head and tail count PMFs, each a ``_cycle_power``.
+    The exact reports, the shot-model fit and ``scenario`` score it or its
+    anti-diagonal sums (``_total_pmf``).
     """
-    _check_effective(model)
+    _check_effective(model, cycles)
     if not 1 <= window <= cycles:
         raise AnalysisError("window must lie in [1, cycles]")
     hmax = _pmf_length(model, window)
@@ -335,7 +320,7 @@ def exact_dual_pmf(model: ShotModel, cycles: int, prepared: Nuclear) -> np.ndarr
     the cycle power with indicator kernels (one per bright cycle, none per
     dark one) and the dual protocol's flip rates.
     """
-    _check_effective(model)
+    _check_effective(model, cycles)
     m1 = _pmf_length(model, cycles)
     occupancy = _cycle_power(np.array([0.0, 1.0]), np.array([1.0]),
                              *model.flip_rates(dual=True), cycles, cycles + 1)
@@ -441,6 +426,22 @@ def _score(mode: str, table_up: np.ndarray, table_dn: np.ndarray, cut: int,
             weigh(table_dn, keep_dn, bright, trials[1]))
 
 
+def _rates(scored: tuple, trials: tuple = (1.0, 1.0)) -> dict:
+    """Misread rates, average fidelity and success efficiency from
+    ``_score``'s kept and misread weights of tables that weigh ``trials``."""
+    (kept_up, err_up), (kept_dn, err_dn) = scored
+    r_up, r_dn = err_up / kept_up, err_dn / kept_dn
+    return dict(misread_bright_as_dark=r_up, misread_dark_as_bright=r_dn,
+                average_fidelity=1 - (r_up + r_dn) / 2,
+                success_efficiency=(kept_up + kept_dn) / sum(trials))
+
+
+def _total_pmf(table: np.ndarray) -> np.ndarray:
+    """PMF of head + tail: the anti-diagonal sums of a head/tail table."""
+    head, tail = np.indices(table.shape)
+    return np.bincount((head + tail).ravel(), weights=table.ravel())
+
+
 def fidelity_report(batch_up: BatchResult, batch_dn: BatchResult,
                     config: ClassifierConfig = ClassifierConfig(),
                     mode: str = "raw") -> FidelityReport:
@@ -501,8 +502,8 @@ def fidelity_report(batch_up: BatchResult, batch_dn: BatchResult,
         tables = _tables((batch_up.total1, batch_up.total2),
                          (batch_dn.total1, batch_dn.total2), top)
 
-    (kept_up, err_up), (kept_dn, err_dn) = _score(
-        mode, *tables, config.cutoff, (n_up, n_dn))
+    scored = _score(mode, *tables, config.cutoff, (n_up, n_dn))
+    (kept_up, err_up), (kept_dn, err_dn) = scored
     if kept_up == 0 or kept_dn == 0:
         raise AnalysisError("post-selection kept 0 shots")
     per_prep = {}
@@ -514,11 +515,8 @@ def fidelity_report(batch_up: BatchResult, batch_dn: BatchResult,
                          fidelity=(kept_dn - err_dn) / kept_dn),
         }
     used = kept_up + kept_dn
-    r_up, r_dn = err_up / kept_up, err_dn / kept_dn
     return FidelityReport(
-        mode=mode, misread_bright_as_dark=r_up, misread_dark_as_bright=r_dn,
-        average_fidelity=1 - (r_up + r_dn) / 2,
-        success_efficiency=used / (n_up + n_dn), shots_used=used,
+        mode=mode, **_rates(scored, (n_up, n_dn)), shots_used=used,
         shots_discarded=n_up + n_dn - used,
         ci_bright_as_dark=wilson_interval(err_up, kept_up),
         ci_dark_as_bright=wilson_interval(err_dn, kept_dn),
@@ -538,15 +536,10 @@ def exact_fidelity_report(model: ShotModel, cycles: int,
         tables = [exact_head_tail_pmf(model, cycles, window, p) for p in preps]
     else:
         tables = [exact_dual_pmf(model, cycles, p) for p in preps]
-    (kept_up, err_up), (kept_dn, err_dn) = _score(
-        mode, *tables, config.cutoff, (1.0, 1.0))
-    r_up, r_dn = err_up / kept_up, err_dn / kept_dn
-    report = dict(mode=mode, misread_bright_as_dark=r_up,
-                  misread_dark_as_bright=r_dn,
-                  average_fidelity=1 - (r_up + r_dn) / 2,
-                  success_efficiency=(kept_up + kept_dn) / 2)
+    scored = _score(mode, *tables, config.cutoff, (1.0, 1.0))
+    report = dict(mode=mode, **_rates(scored))
     if mode == "dual_step":
-        report["per_preparation"] = {"up": kept_up, "down": kept_dn}
+        report["per_preparation"] = {"up": scored[0][0], "down": scored[1][0]}
     return report
 
 
@@ -732,15 +725,18 @@ REFERENCE_TARGETS = FitTargets(
 
 def _model_stats(model: ShotModel, cycles: int, config: ClassifierConfig,
                  conditional: bool):
-    pmf_up = exact_count_pmf(model, cycles, Nuclear.UP)
-    pmf_dn = exact_count_pmf(model, cycles, Nuclear.DOWN)
-    (_, r_up), (_, r_dn) = _score("raw", pmf_up, pmf_dn, config.cutoff,
-                                  (1.0, 1.0))
-    stats = [float((np.arange(len(pmf)) * pmf).sum())
-             for pmf in (pmf_up, pmf_dn)] + [r_up, r_dn]
-    if conditional:
-        rep = exact_fidelity_report(model, cycles, config, mode="conditional")
-        stats += [rep["misread_bright_as_dark"], rep["misread_dark_as_bright"]]
+    """Mean totals and raw misread rates, then (when ``conditional``) the
+    conditional misread rates, from one head/tail table per preparation."""
+    window = min(config.window, cycles)
+    tables = [exact_head_tail_pmf(model, cycles, window, p)
+              for p in (Nuclear.UP, Nuclear.DOWN)]
+    totals = [_total_pmf(t) for t in tables]
+    stats = [float((np.arange(len(pmf)) * pmf).sum()) for pmf in totals]
+    rules = [("raw", totals), ("conditional", tables)][:1 + conditional]
+    for mode, pair in rules:
+        rates = _rates(_score(mode, *pair, config.cutoff, (1.0, 1.0)))
+        stats += [rates["misread_bright_as_dark"],
+                  rates["misread_dark_as_bright"]]
     return stats
 
 
@@ -821,7 +817,8 @@ def optimize_threshold(pmf_up: np.ndarray,
                        pmf_dn: np.ndarray) -> tuple[int, float]:
     """Exhaustive integer-cutoff scan maximizing the average fidelity.
 
-    Returns (N*, fidelity at N*); ties break toward the smaller cutoff.
+    A total above the cutoff reads bright, the raw rule of ``_score``
+    applied to the cumulative PMFs.  Returns (N*, fidelity at N*); ties break toward the smaller cutoff.
     """
     pmf_up = np.asarray(pmf_up, dtype=float)
     pmf_dn = np.asarray(pmf_dn, dtype=float)
@@ -925,14 +922,11 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
     if duration_budget_ms is not None:
         cycles = max(1, int(duration_budget_ms * 1e3 / per_cycle_us))
 
-    pmf_up = exact_count_pmf(mod, cycles, Nuclear.UP)
-    pmf_dn = exact_count_pmf(mod, cycles, Nuclear.DOWN)
-    best_n, best_fid = optimize_threshold(pmf_up, pmf_dn)
-
     window = config.scaled_window(cycles)
-    cond = exact_fidelity_report(
-        mod, cycles, ClassifierConfig(cutoff=best_n, window=window),
-        mode="conditional")
+    tables = [exact_head_tail_pmf(mod, cycles, window, p)
+              for p in (Nuclear.UP, Nuclear.DOWN)]
+    best_n, best_fid = optimize_threshold(*map(_total_pmf, tables))
+    cond = _rates(_score("conditional", *tables, best_n, (1.0, 1.0)))
 
     readout_us = per_cycle_us * cycles
     init_us = protocol.init.duration_us(protocol.pi_duration_us)

@@ -238,11 +238,12 @@ class BatchResult:
 
         Each block of lines is parsed with one JSON decode and sliced into
         the columns; per-cycle counts are read when the first record
-        holds them.  A file that is not a batch file, a line that is not one
-        JSON record, a record that lacks a column or holds a value of the
-        wrong shape, or shots other than 0..n-1 in order raise ValueError
-        naming the file and the line (or, where a value cannot be placed,
-        the first line of its block).
+        holds them.  A file that is not a batch file, a header that
+        save_jsonl would not write (see _check_header), a line that is not
+        one JSON record, a record that lacks a column or holds a value of
+        the wrong shape, or shots other than 0..n-1 in order raise
+        ValueError naming the file and the line or header field (or, where
+        a value cannot be placed, the first line of its block).
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -253,6 +254,7 @@ class BatchResult:
             if not isinstance(header, dict) \
                     or header.get("kind") != "batch_header":
                 raise ValueError(f"{path}: not a batch file")
+            _check_header(path, header)
             n = header["n_shots"]
             dual = header["reads_per_cycle"] == 2
             columns = {name: np.empty(n, dtype=np.int64) for name in
@@ -294,6 +296,52 @@ class BatchResult:
                      else np.asarray(header["detect2"], dtype=np.int64)),
             **columns,
         )
+
+
+# the header fields save_jsonl writes, each with its JSON type
+_HEADER_TYPES = dict(
+    kind=str, prepared=str, master_seed=int, n_shots=int, cycles=int,
+    reads_per_cycle=int, head_window=int, model_fingerprint=str,
+    protocol_fingerprint=str, detect1=list, detect2=(list, type(None)))
+
+
+def _check_header(path, header: dict) -> None:
+    """Raise ValueError naming ``path`` and the field unless ``header`` has
+    exactly save_jsonl's fields, each of its type and in its range."""
+    def bad(name, why):
+        raise ValueError(f"{path}: header field {name!r} {why}")
+
+    for name in sorted(header.keys() - _HEADER_TYPES.keys()):
+        bad(name, "is not a batch header field")
+    for name, kind in _HEADER_TYPES.items():
+        if name not in header:
+            bad(name, "is missing")
+        value = header[name]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            bad(name, f"is {value!r}, not of type "
+                      f"{getattr(kind, '__name__', 'list or null')}")
+    if header["prepared"] not in [p.value for p in Nuclear]:
+        bad("prepared", f"is {header['prepared']!r}, not 'up' or 'down'")
+    if not 0 <= header["master_seed"] < 2**64:
+        bad("master_seed", "must lie in [0, 2**64)")
+    for name in ("n_shots", "cycles"):
+        if header[name] < 1:
+            bad(name, f"is {header[name]}, not >= 1")
+    reads, cycles = header["reads_per_cycle"], header["cycles"]
+    if reads not in (1, 2):
+        bad("reads_per_cycle", f"is {reads}, not 1 or 2")
+    if not 1 <= header["head_window"] <= cycles:
+        bad("head_window", f"is {header['head_window']}, not in [1, cycles "
+                           f"= {cycles}]")
+    if (header["detect2"] is None) != (reads == 1):
+        bad("detect2", f"must be {'null' if reads == 1 else 'a list'} for "
+                       f"{reads} read(s) per cycle")
+    for name in ("detect1", "detect2")[:reads]:
+        counts = header[name]
+        if len(counts) != cycles or not all(
+                type(c) is int and 0 <= c <= header["n_shots"]
+                for c in counts):
+            bad(name, f"must hold {cycles} counts in [0, n_shots]")
 
 
 def _not_integer(text):

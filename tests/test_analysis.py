@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.stats import chi2, poisson
 
 from ssro.analysis import (AnalysisError, ClassifierConfig, CountHistogram,
                            FitTargets, FidelityReport, JointHistogram,
-                           REFERENCE_TARGETS, classify, exact_count_pmf,
+                           REFERENCE_TARGETS, _score, exact_count_pmf,
                            exact_dual_pmf, exact_fidelity_report,
                            exact_head_tail_pmf, estimate_peak_separation,
                            fidelity_report, fit_flip_rate, fit_shot_model,
@@ -62,15 +63,12 @@ class TestWilson:
 
 class TestClassify:
     def test_cutoff_semantics(self):
-        cfg = ClassifierConfig(cutoff=1)
-        assert classify(0, cfg) is Nuclear.DOWN
-        assert classify(1, cfg) is Nuclear.DOWN    # cutoff itself reads dark
-        assert classify(2, cfg) is Nuclear.UP      # two or more photons
-
-    def test_accepts_records(self, cal, protocol):
-        from ssro.trajectory import simulate_shot
-        rec = simulate_shot(plain_model(), protocol, Nuclear.UP, seed=4)
-        assert classify(rec) is Nuclear.UP
+        # one shot each at totals 0, 1 and 2: under cutoff 1 the cutoff
+        # itself reads dark, two or more photons read bright
+        shots = np.array([1, 1, 1])
+        (kept_up, dark), (kept_dn, bright) = _score(
+            "raw", shots, shots, ClassifierConfig(cutoff=1).cutoff, (3, 3))
+        assert (kept_up, dark, kept_dn, bright) == (3, 2, 3, 1)
 
     def test_invalid_config(self):
         with pytest.raises(AnalysisError):
@@ -126,8 +124,10 @@ class TestExactCountPmf:
         np.testing.assert_allclose(totals, pmf, atol=1e-9)
 
     def test_dual_marginal_consistent(self, cal):
+        # in the dual protocol both states flip at the cycled rate
         joint = exact_dual_pmf(cal, 250, Nuclear.UP)
-        pmf = exact_count_pmf(cal, 250, Nuclear.UP, dual=True)
+        both_cycled = dataclasses.replace(cal, flip_db=cal.flip_bd)
+        pmf = exact_count_pmf(both_cycled, 250, Nuclear.UP)
         np.testing.assert_allclose(joint.sum(axis=1)[:len(pmf)], pmf,
                                    atol=1e-9)
 
@@ -144,11 +144,12 @@ class TestHistograms:
         up = simulate_batch(cal, proto, Nuclear.UP, 20_000, master_seed=7)
         dn = simulate_batch(cal, proto, Nuclear.DOWN, 20_000, master_seed=8)
         joint = JointHistogram.from_batches(up, dn)
-        marginal = joint.read1_marginal()
         direct = CountHistogram.from_batches(up, dn)
-        n = min(len(marginal.counts_up), len(direct.counts_up))
-        np.testing.assert_array_equal(marginal.counts_up[:n],
-                                      direct.counts_up[:n])
+        for table, hist in ((joint.counts_up, direct.counts_up),
+                            (joint.counts_dn, direct.counts_dn)):
+            marginal = table.sum(axis=1)
+            n = min(len(marginal), len(hist))
+            np.testing.assert_array_equal(marginal[:n], hist[:n])
 
     @pytest.mark.parametrize("read", [0, 3])
     def test_invalid_read_index_rejected(self, batches, read):

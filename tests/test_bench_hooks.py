@@ -2,9 +2,10 @@
 
 ``bench/spans.py`` patches functions of ``ssro`` by name, reads
 ``propagate``'s ``step_us`` argument and wraps the least-squares solver
-that ``ssro.analysis`` imports.  A rename there would only show as a
-traced benchmark run that fails; these tests run the tracer on tiny calls
-so that it fails here instead.
+that ``ssro.analysis`` imports.  A traced benchmark run fails a layer of
+a workload that records no span, so a rename, or a change in which exact
+function calls which, would only show there; these tests run the tracer
+on short calls so that it fails here instead.
 """
 import dataclasses
 import importlib.util
@@ -21,11 +22,13 @@ import ssro.cli  # noqa: F401
 import ssro.config  # noqa: F401
 import ssro.protocol  # noqa: F401
 import ssro.rng  # noqa: F401
+from ssro.analysis import ClassifierConfig
 from ssro.model import Nuclear, PhysicalParams
 from ssro.protocol import build_standard_readout
 from ssro.trajectory import BatchResult, calibrated_shot_model
 
-SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH_DIR / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +112,35 @@ def test_layer_metrics_read_the_recorded_spans(spans):
     assert metrics["optics.propagate_calls"] == 1
     assert metrics["optics.propagate_steps"] == 100
     assert metrics["optics.propagate_s"] > 0
+
+
+def test_calibrate_analysis_layers_record_spans(spans, monkeypatch):
+    """A short calibrate path gives every analysis layer of the calibrate
+    workload a span."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))   # workloads imports checks
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", BENCH_DIR / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses
+    spec.loader.exec_module(workloads)
+    layers = [name for name in workloads.Calibrate.layers
+              if name.startswith("analysis.")]
+    assert "analysis.exact_count_pmf_calls" in layers
+
+    an = ssro.analysis
+    model = calibrated_shot_model()
+    protocol = build_standard_readout(PhysicalParams())
+    tracer = spans.Tracer()
+    tracer.iteration = 0
+    tracer.install()
+    try:
+        for mode in ("raw", "conditional", "dual_step"):
+            an.exact_fidelity_report(model, 40, ClassifierConfig(), mode)
+        an.scenario(model, protocol, overrides={"cycles": 40})
+        an.optimize_threshold(an.exact_count_pmf(model, 40, Nuclear.UP),
+                              an.exact_count_pmf(model, 40, Nuclear.DOWN))
+        an.fit_shot_model(an.REFERENCE_TARGETS)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, [0])
+    assert [name for name in layers if not metrics[name] > 0] == []

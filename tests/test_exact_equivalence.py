@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from ssro.analysis import (_pmf_length, _poisson_kernel, exact_count_pmf,
-                           exact_dual_pmf, exact_head_tail_pmf)
+from ssro.analysis import (AnalysisError, _pmf_length, _poisson_kernel,
+                           exact_count_pmf, exact_dual_pmf,
+                           exact_head_tail_pmf)
 from ssro.model import Nuclear
 from ssro.optics import (OpticalModel, StepSizeError, default_optical_model,
                          propagate)
@@ -179,12 +180,27 @@ MODELS = {
 @pytest.mark.parametrize("cycles", [1, 250, 1000])
 @pytest.mark.parametrize("dual", [False, True])
 def test_count_pmf_matches_sequential(name, cycles, dual):
+    """The single-read total, and the dual protocol's read-1 marginal of
+    the occupancy law."""
     model = MODELS[name]
     for prepared in (Nuclear.UP, Nuclear.DOWN):
-        got = exact_count_pmf(model, cycles, prepared, dual=dual)
+        if dual:
+            got = exact_dual_pmf(model, cycles, prepared).sum(axis=1)
+        else:
+            got = exact_count_pmf(model, cycles, prepared)
         ref = ref_count_pmf(model, cycles, prepared, dual=dual)
         assert got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_count_pmf(CAL, 0, Nuclear.UP),
+    lambda: exact_head_tail_pmf(CAL, 0, 0, Nuclear.UP),
+    lambda: exact_dual_pmf(CAL, -3, Nuclear.DOWN),
+], ids=["count", "head_tail", "dual"])
+def test_no_cycles_rejected(call):
+    with pytest.raises(AnalysisError, match="cycles must be >= 1"):
+        call()
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -413,6 +413,54 @@ class TestRecordsAndSerialization:
             BatchResult.load_jsonl(bad)
 
 
+    # (damage, header field the error names)
+    @pytest.mark.parametrize("damage,field", [
+        ("no_n_shots", "n_shots"), ("reads_per_cycle_3", "reads_per_cycle"),
+        ("head_window_99_of_5", "head_window"), ("head_window_0", "head_window"),
+        ("string_n_shots", "n_shots"), ("bool_cycles", "cycles"),
+        ("zero_shots", "n_shots"), ("short_detect1", "detect1"),
+        ("float_detect1", "detect1"), ("detect2_on_one_read", "detect2"),
+        ("dual_without_detect2", "detect2"), ("unknown_prepared", "prepared"),
+        ("negative_master_seed", "master_seed"),
+        ("numeric_fingerprint", "model_fingerprint"), ("extra_field", "note")])
+    def test_jsonl_rejects_malformed_header(self, protocol, dual_protocol,
+                                           tmp_path, damage, field):
+        dual = damage == "dual_without_detect2"
+        batch = simulate_batch(calibrated_shot_model(),
+                               dual_protocol if dual else protocol,
+                               Nuclear.UP, 20, master_seed=7)
+        path = tmp_path / "batch.jsonl"
+        batch.save_jsonl(path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        edits = {
+            "reads_per_cycle_3": dict(reads_per_cycle=3),
+            "head_window_99_of_5": dict(cycles=5, head_window=99),
+            "head_window_0": dict(head_window=0),
+            "string_n_shots": dict(n_shots="20"),
+            "bool_cycles": dict(cycles=True),
+            "zero_shots": dict(n_shots=0),
+            "short_detect1": dict(detect1=header["detect1"][:-1]),
+            "float_detect1": dict(detect1=[0.5] * len(header["detect1"])),
+            "detect2_on_one_read": dict(detect2=header["detect1"]),
+            "dual_without_detect2": dict(detect2=None),
+            "unknown_prepared": dict(prepared="sideways"),
+            "negative_master_seed": dict(master_seed=-1),
+            "numeric_fingerprint": dict(model_fingerprint=5),
+            "extra_field": dict(note="hand-edited"),
+        }
+        if damage == "no_n_shots":
+            del header["n_shots"]
+        else:
+            header.update(edits[damage])
+        lines[0] = json.dumps(header) + "\n"
+        bad = tmp_path / f"{damage}.jsonl"
+        bad.write_text("".join(lines))
+        with pytest.raises(ValueError,
+                           match=f"{damage}.jsonl: header field '{field}'"):
+            BatchResult.load_jsonl(bad)
+
+
 def test_word_cut_is_the_uniform_cut():
     """_read_counts tests z >= ceil(cut * 2**53) << 11 on the raw words in
     place of to_unit(z) >= cut."""
