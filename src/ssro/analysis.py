@@ -21,8 +21,9 @@ only place that compares a count with the cutoff or decides which shots a
 mode keeps, and ``_rates`` turns its weights into misread rates,
 fidelity and efficiency, so the sampled and the exact fidelity reports,
 the shot-model fit and ``scenario`` cannot drift apart;
-``optimize_threshold`` scans the same raw rule in cumulative form.  The
-histograms share the table builder.
+``optimize_threshold`` scans the same raw rule in cumulative form, and
+``separating_threshold`` refuses its cutoff when no cutoff beats chance.
+The histograms share the table builder.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ __all__ = [
     "fit_flip_rate",
     "fit_shot_model",
     "optimize_threshold",
+    "separating_threshold",
     "scenario",
     "estimate_peak_separation",
     "REFERENCE_TARGETS",
@@ -838,6 +840,27 @@ def optimize_threshold(pmf_up: np.ndarray,
     return best_n, float(best_fid)
 
 
+def separating_threshold(pmf_up: np.ndarray,
+                         pmf_dn: np.ndarray) -> tuple[int, float]:
+    """optimize_threshold's (N*, fidelity) for a readout that reads the up
+    state as the bright one.
+
+    When no cutoff beats chance, the scan's best fidelity is 0.5 at many
+    cutoffs and N* is picked by rounding noise; so a best fidelity that
+    does not exceed 0.5 by more than 1e-12 raises AnalysisError.  This
+    happens when the up state does not emit more photons than the down
+    state: lambda_dark at or above lambda_bright, or flips fast enough to
+    mix the two states.
+    """
+    best_n, best_fid = optimize_threshold(pmf_up, pmf_dn)
+    if not best_fid > 0.5 + 1e-12:
+        raise AnalysisError(
+            f"no count cutoff reads the up state above chance (best average "
+            f"fidelity {best_fid!r}); the up state must emit more photons "
+            f"than the down state")
+    return best_n, best_fid
+
+
 # --- improvement scenarios -----------------------------------------------------------
 
 @dataclass
@@ -874,6 +897,7 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
     AnalysisError instead of being silently dropped.
 
     Reports the threshold-optimized fidelity of the count distributions
+    (separating_threshold: AnalysisError when no cutoff beats chance)
     and the conditional-mode fidelity at the proportionally scaled
     post-selection window.  Both are single-read rules, so a dual-read
     protocol raises AnalysisError.
@@ -925,7 +949,7 @@ def scenario(model: ShotModel, protocol: ProtocolSpec,
     window = config.scaled_window(cycles)
     tables = [exact_head_tail_pmf(mod, cycles, window, p)
               for p in (Nuclear.UP, Nuclear.DOWN)]
-    best_n, best_fid = optimize_threshold(*map(_total_pmf, tables))
+    best_n, best_fid = separating_threshold(*map(_total_pmf, tables))
     cond = _rates(_score("conditional", *tables, best_n, (1.0, 1.0)))
 
     readout_us = per_cycle_us * cycles

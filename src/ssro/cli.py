@@ -24,7 +24,7 @@ from .analysis import (AnalysisError, ClassifierConfig, CountHistogram,
                        FitTargets, JointHistogram, REFERENCE_TARGETS,
                        estimate_peak_separation, exact_count_pmf,
                        fidelity_report, fit_flip_rate, fit_shot_model,
-                       optimize_threshold, scenario)
+                       scenario, separating_threshold)
 from .config import ConfigError, RunConfig, load_config
 from .model import (ModelError, Nuclear, PhysicalParams, default_diagram,
                     odmr_spectrum)
@@ -266,7 +266,7 @@ def cmd_pump(cfg: RunConfig, args, manifest: Manifest):
 def cmd_optimize_threshold(cfg: RunConfig, args, manifest: Manifest):
     pmf_up = exact_count_pmf(cfg.shot_model, cfg.protocol.cycles, Nuclear.UP)
     pmf_dn = exact_count_pmf(cfg.shot_model, cfg.protocol.cycles, Nuclear.DOWN)
-    best_n, best_fid = optimize_threshold(pmf_up, pmf_dn)
+    best_n, best_fid = separating_threshold(pmf_up, pmf_dn)
     payload = dict(best_cutoff=best_n, fidelity=best_fid)
     manifest.add("threshold.json", _write_json, payload)
     manifest.add_summary(**payload)

@@ -7,13 +7,19 @@ is the j-th output of a splitmix64 stream seeded with the shot seed.  All
 draws are pure functions of (master_seed, shot_index, draw_index), so any
 partition of a batch across workers produces identical results, and a
 single shot can be replayed from its recorded seed alone.
+
+A sampler's draw layout says which draw feeds which variable.  A draw that
+a sampler does not need is simply never computed: the effective read
+stage (draw layout 2, see trajectory._read_counts) skips the cycles that
+cannot give a photon by drawing geometric gaps between the ones that can,
+and each of its draws is still a pure function of those three numbers.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["shot_seed", "shot_seeds", "bits", "to_unit", "uniforms",
-           "poisson_kmax", "poisson_from_uniform", "geometric_from_uniform"]
+__all__ = ["shot_seed", "shot_seeds", "uniforms", "poisson_kmax",
+           "poisson_from_uniform", "geometric_from_uniform"]
 
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
@@ -23,17 +29,13 @@ _INV_2_53 = 2.0 ** -53
 
 
 def _finalize(z):
-    # splitmix64 output mixing
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
-
-
-def to_unit(z):
-    """Uniform [0, 1) values of splitmix64 words: their top 53 bits times
-    2**-53.  So for x < 1, ``to_unit(z) >= x`` exactly when
-    ``z >= ceil(x * 2**53) << 11``."""
-    return (z >> _U64(11)).astype(np.float64) * _INV_2_53
+    # splitmix64 output mixing, in place on the uint64 array z
+    z ^= z >> _U64(30)
+    z *= _MIX1
+    z ^= z >> _U64(27)
+    z *= _MIX2
+    z ^= z >> _U64(31)
+    return z
 
 
 def shot_seeds(master_seed: int, shot_index: np.ndarray) -> np.ndarray:
@@ -48,23 +50,23 @@ def shot_seed(master_seed: int, shot_index: int) -> int:
     return int(shot_seeds(master_seed, np.array([shot_index]))[0])
 
 
-def bits(seeds: np.ndarray, draw_index) -> np.ndarray:
-    """The uint64 splitmix64 word of draw number `draw_index` for each
-    stream in `seeds`.
-
-    `draw_index` is an int or an array of non-negative ints that broadcasts
-    against `seeds`: ``bits(seeds[None, :], js[:, None])`` holds draw
-    ``js[k]`` of every stream in row k, identical to ``bits(seeds, js[k])``.
-    """
-    with np.errstate(over="ignore"):
-        return _finalize(np.asarray(seeds, dtype=np.uint64)
-                         + _U64(draw_index + 1) * _GAMMA)
-
-
 def uniforms(seeds: np.ndarray, draw_index) -> np.ndarray:
     """Uniform [0, 1) draw number `draw_index` for each stream in `seeds`:
-    ``to_unit(bits(seeds, draw_index))``, broadcasting as bits does."""
-    return to_unit(bits(seeds, draw_index))
+    the top 53 bits of that draw's splitmix64 word, times 2**-53.
+
+    `draw_index` is an int or an array of non-negative ints that broadcasts
+    against `seeds`: ``uniforms(seeds[None, :], js[:, None])`` holds draw
+    ``js[k]`` of every stream in row k, identical to
+    ``uniforms(seeds, js[k])``, and an index array of the shape of `seeds`
+    gives each stream its own draw.
+    """
+    with np.errstate(over="ignore"):
+        z = _finalize(np.asarray(seeds, dtype=np.uint64)
+                      + _U64(draw_index + 1) * _GAMMA)
+    z >>= _U64(11)
+    u = z.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def poisson_kmax(lam_max: float) -> int:
@@ -87,38 +89,39 @@ def poisson_from_uniform(u: np.ndarray, lam: np.ndarray,
     if kmax is None:
         kmax = poisson_kmax(float(lam.max(initial=0.0)))
     out = np.zeros(u.shape, dtype=np.int64)
+    flat = out.reshape(-1)
     cdf0 = np.exp(-lam)
-    pending = np.flatnonzero((u >= cdf0).ravel())
-    if pending.size == 0:
-        return out
-    uf = u.ravel()[pending]
-    lf = lam.ravel()[pending]
-    p = cdf0.ravel()[pending].copy()
+    # the elements whose count is still open, with their uniform, rate,
+    # last Poisson term and CDF
+    idx = np.flatnonzero(u >= cdf0)
+    uf, lf = u.ravel()[idx], lam.ravel()[idx]
+    p = cdf0.ravel()[idx]
     cdf = p.copy()
-    result = np.full(pending.size, kmax, dtype=np.int64)
-    active = np.arange(pending.size)
     for k in range(1, kmax + 1):
-        p = p * lf / k
-        cdf = cdf + p
+        if idx.size == 0:
+            break
+        p *= lf
+        p /= k
+        cdf += p
         done = uf < cdf
         if done.any():
-            result[active[done]] = k
-            keep = ~done
-            active = active[keep]
-            uf, lf, p, cdf = uf[keep], lf[keep], p[keep], cdf[keep]
-            if active.size == 0:
-                break
-    out.ravel()[pending] = result
+            flat[idx[done]] = k
+            keep = np.flatnonzero(~done)
+            idx, uf, lf, p, cdf = (idx[keep], uf[keep], lf[keep], p[keep],
+                                   cdf[keep])
+    flat[idx] = kmax            # still open after kmax terms: the clamp
     return out
 
 
 def geometric_from_uniform(u, rate):
-    """First-success trial index (>= 1) for per-trial probability `rate`.
+    """First-success trial index (>= 1) for per-trial probability `rate`,
+    which broadcasts against `u`: the flip times of the effective sampler
+    and the gaps between its read candidates.
 
     rate == 0 yields +inf (the event never occurs).
     """
     u = np.asarray(u, dtype=np.float64)
-    rate = np.broadcast_to(np.asarray(rate, dtype=np.float64), u.shape)
+    rate = np.asarray(rate, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.floor(np.log1p(-u) / np.log1p(-np.minimum(rate, 1 - 1e-15))) + 1.0
     return np.where(rate > 0, k, np.inf)

@@ -18,11 +18,13 @@ batches are bit-reproducible for a given master seed under any chunking
 or worker schedule, and any record can be replayed from its shot seed.
 
 The effective sampler works on chunks of shots.  It draws the flip cycles
-per shot, then streams over blocks of cycles: each block's read draws
-come from one rng.bits call, and a state and a Poisson count are
-computed only for the few uniforms that can give a photon at either rate
-(about 3 % at the calibrated rates).  The counts equal those of a dense
-pass over every (shot, cycle) element; see _read_counts.
+per shot, then each read window by draw layout 2: only the cycles whose
+uniform can give a photon at either rate (about 3 % at the calibrated
+rates) are drawn, as geometric gaps between them and one value each, and
+only they get a state and a Poisson count; see _read_counts.  The layout
+version of each mode (_DRAW_LAYOUT) is part of the model fingerprint
+every batch records, so batches drawn under different layouts never pass
+for the same model.
 """
 from __future__ import annotations
 
@@ -54,8 +56,14 @@ __all__ = [
 
 DEFAULT_CONDITIONAL_WINDOW = 120
 
+# version of the draw layout of each mode; a change to which draw feeds
+# which variable bumps it
+_DRAW_LAYOUT = {"effective": 2, "microscopic": 1}
+
 # fixed draw layout of one shot's stream (effective mode); a shot whose
-# _MAX_FLIPS-th flip falls inside the record raises rather than truncating
+# _MAX_FLIPS-th flip falls inside the record raises rather than truncating.
+# Read r of a cycles-cycle protocol takes draws from
+# _J_READ + r * (2 * cycles + 1) on (see _read_counts).
 _J_INIT = 0
 _J_CHARGE = 1
 _J_FLIP = 2
@@ -63,7 +71,7 @@ _MAX_FLIPS = 12
 _J_READ = _J_FLIP + _MAX_FLIPS
 
 _CHUNK = 16384
-_READ_BLOCK = 8       # cycles of read uniforms drawn per block
+_GAP_ROUND = 4        # candidate gaps drawn per shot per read-stage round
 _IO_BLOCK = 1024      # batch-file records written or parsed per block
 
 # rng.poisson_from_uniform starts its inverse CDF at exp(-lambda), which
@@ -113,7 +121,10 @@ class ShotModel:
         return asdict(self)
 
     def fingerprint(self) -> str:
-        text = json.dumps(self.to_dict(), sort_keys=True)
+        """Hash of the fields and of the draw layout of the model's mode."""
+        text = json.dumps(dict(self.to_dict(),
+                               draw_layout=_DRAW_LAYOUT[self.mode]),
+                          sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -414,10 +425,10 @@ def _simulate_chunk(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
 
     Draws the init and charge errors and each shot's flip cycles
     (``bounds``: one array per flip index, the cycle of that flip or int64
-    max), then the read counts of each read window with _read_counts, a
-    block of _READ_BLOCK cycles at a time.  Returns a dict of total, head
-    and detect arrays per read, and the int16 per-cycle counts when
-    ``keep_cycles``; the read-2 entries are None for single-read protocols.
+    max), then the read counts of each read window with _read_counts.
+    Returns a dict of total, head and detect arrays per read, and the int16
+    per-cycle counts when ``keep_cycles``; the read-2 entries are None for
+    single-read protocols.
     """
     n = len(seeds)
     cycles = protocol.cycles
@@ -460,8 +471,8 @@ def _simulate_chunk(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
         names = (f"total{r + 1}", f"head{r + 1}", f"detect{r + 1}",
                  f"counts{r + 1}")
         out.update(zip(names, _read_counts(
-            model, seeds, _J_READ + r * cycles, cycles, head_window, start,
-            bounds, active, keep_cycles)))
+            model, seeds, _J_READ + r * (2 * cycles + 1), cycles,
+            head_window, start, bounds, active, keep_cycles)))
     return out
 
 
@@ -482,66 +493,89 @@ def _states_present(start, bounds, cycles):
 def _read_counts(model, seeds, first_draw, cycles, head_window, bright0,
                  bounds, active, keep_cycles):
     """Photon counts of one read window per cycle, as (total, head, detect,
-    counts or None).
+    counts or None), by draw layout 2.
 
     Shot i is bright at cycle c (1-based) when ``bright0[i]`` xor the
     parity of its flip cycles ``bounds`` <= c; it emits at lambda_bright
-    when bright and ``active[i]``, else at lambda_dark, and cycle c uses
-    draw ``first_draw + c - 1`` of its stream.
+    when bright and ``active[i]``, else at lambda_dark.
 
-    The reads are drawn _READ_BLOCK cycles at a time, as the raw words of
-    one rng.bits call per block.  A uniform below both exp(-lambda_bright)
-    and exp(-lambda_dark) is a zero count in either state, because
-    poisson_from_uniform returns 0 wherever u < exp(-lam).  Only the
-    candidates, u >= ``cut``, are turned into uniforms and get a state and
-    a Poisson count; they are found on the words, as z >= ``zcut``, which
-    is the same test (see rng.to_unit).  ``cut``
-    lies a relative 1e-12 below the smaller exp(-lam), far more than any
-    rounding difference between exp of a scalar here and exp of the rate
-    array inside poisson_from_uniform, so no element that could count is
-    dropped.  Each candidate's count is a function of its own (u, lam) and
-    of ``kmax`` alone; ``kmax`` is the default clamp of the largest rate a
-    dense pass over all (shot, cycle) elements would hold, found per shot
-    from the states it takes (_states_present).  The counts therefore equal
-    those of one poisson_from_uniform call on the dense arrays, clamping
-    included.
+    poisson_from_uniform returns 0 wherever u < exp(-lam), so a cycle whose
+    uniform lies below ``floor`` = exp(-max(lambda_bright, lambda_dark)) is
+    a zero count in either state.  The other cycles, the candidates, form a
+    Bernoulli process with probability ``p`` = 1 - floor per cycle, and
+    only they are drawn: candidate m of a shot (from 0) takes the gap from
+    the previous candidate (or from cycle 0) as rng.geometric_from_uniform
+    of draw ``first_draw + 2m``, and a value v from draw
+    ``first_draw + 2m + 1``.  Its uniform, floor + p * v, is uniform on
+    [floor, 1) as the uniform of a candidate cycle is.  A read of ``cycles``
+    cycles takes at most 2 * cycles + 1 draws, the last a gap that passes
+    the end.  Each candidate gets the state of its cycle and
+    poisson_from_uniform(u, lam, kmax), with ``kmax`` the default clamp of
+    the largest rate any shot of the chunk takes in the window
+    (_states_present).
+
+    The shots are walked in rounds.  A round draws the next _GAP_ROUND
+    gaps and values of every shot still inside the window, so all of them
+    have drawn equally many, turns its candidates into counts, and adds the
+    non-zero ones to the totals, heads, detection curve and per-cycle
+    counts; a shot leaves once a gap passes the last cycle.  The round
+    size does not change the counts.  A gap or value past the read's last
+    draw is never used, and is drawn at that index instead, so no read
+    touches another read's draws.
     """
     n = len(seeds)
     lam_on, lam_off = model.lambda_bright, model.lambda_dark
     has_on, has_off = _states_present(bright0, bounds, cycles)
     kmax = rng.poisson_kmax(max(lam_on if (active & has_on).any() else 0.0,
                                 lam_off if (~active | has_off).any() else 0.0))
-    cut = np.exp(-max(lam_on, lam_off)) * (1.0 - 1e-12)
-    zcut = np.uint64(math.ceil(cut * 2.0 ** 53) << 11)
+    lam_max = max(lam_on, lam_off)
+    floor, p = math.exp(-lam_max), -math.expm1(-lam_max)
+    # the rate of each shot before its first flip, and that flip's cycle;
+    # a charge-failed shot stays at lambda_dark whatever its flips
+    lam0 = np.where(bright0 & active, lam_on, lam_off)
+    far = np.iinfo(np.int64).max
+    first_flip = np.where(active, bounds[0], far) if bounds else np.full(n, far)
 
-    row = seeds[None, :]
-    hits = []
-    for c0 in range(0, cycles, _READ_BLOCK):
-        draws = np.arange(first_draw + c0,
-                          first_draw + min(c0 + _READ_BLOCK, cycles))
-        z = rng.bits(row, draws[:, None]).ravel()
-        cand = np.flatnonzero(z >= zcut)
-        cycle, shot = np.divmod(cand, n)
-        cycle += c0 + 1
-        bright = bright0[shot]
-        for b in bounds:
-            bright ^= cycle >= b[shot]
-        lam = np.where(bright & active[shot], lam_on, lam_off)
-        k = rng.poisson_from_uniform(rng.to_unit(z[cand]), lam, kmax)
-        hit = k > 0
-        hits.append((shot[hit], cycle[hit], k[hit]))
-
-    shot, cycle, k = (np.concatenate(x) for x in zip(*hits))
-    early = cycle <= head_window
-    total = np.bincount(shot, weights=k, minlength=n).astype(np.int64)
-    head = np.bincount(shot[early], weights=k[early],
-                       minlength=n).astype(np.int64)
-    detect = np.bincount(cycle - 1, minlength=cycles)
-    counts = None
-    if keep_cycles:
-        counts = np.zeros((n, cycles), dtype=np.int16)
-        counts[shot, cycle - 1] = k
-    return total, head, detect, counts
+    total = np.zeros(n)
+    head = np.zeros(n)
+    detect = np.zeros(cycles, dtype=np.int64)
+    counts = np.zeros((n, cycles), dtype=np.int16) if keep_cycles else None
+    steps = np.arange(_GAP_ROUND)[:, None]
+    last = first_draw + 2 * cycles
+    live = np.arange(n)            # shots still inside the window
+    pos = np.zeros(n)              # the cycle of each one's last candidate
+    for drawn in itertools.count(0, _GAP_ROUND):
+        gap_draw = np.minimum(first_draw + 2 * (drawn + steps), last)
+        stream = seeds[live]
+        at = pos + np.cumsum(rng.geometric_from_uniform(
+            rng.uniforms(stream, gap_draw), p), axis=0)
+        inside = at <= cycles
+        shot = np.broadcast_to(live, inside.shape)[inside]
+        cycle = at[inside]
+        u = floor + p * rng.uniforms(stream,
+                                     np.minimum(gap_draw + 1, last))[inside]
+        lam = lam0[shot]
+        flipped = np.flatnonzero(cycle >= first_flip[shot])
+        if flipped.size:
+            sh, cy = shot[flipped], cycle[flipped]
+            bright = bright0[sh]
+            for b in bounds:
+                bright ^= cy >= b[sh]
+            lam[flipped] = np.where(bright, lam_on, lam_off)
+        k = rng.poisson_from_uniform(u, lam, kmax)
+        hit = np.flatnonzero(k)
+        shot, cycle, k = shot[hit], cycle[hit].astype(np.int64), k[hit]
+        early = cycle <= head_window
+        total += np.bincount(shot, weights=k, minlength=n)
+        head += np.bincount(shot[early], weights=k[early], minlength=n)
+        detect += np.bincount(cycle - 1, minlength=cycles)
+        if keep_cycles:
+            counts[shot, cycle - 1] = k
+        more = inside[-1]
+        if not more.any():
+            break
+        live, pos = live[more], at[-1, more]
+    return total.astype(np.int64), head.astype(np.int64), detect, counts
 
 
 def simulate_shot(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,

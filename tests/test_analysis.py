@@ -12,7 +12,8 @@ from ssro.analysis import (AnalysisError, ClassifierConfig, CountHistogram,
                            exact_dual_pmf, exact_fidelity_report,
                            exact_head_tail_pmf, estimate_peak_separation,
                            fidelity_report, fit_flip_rate, fit_shot_model,
-                           optimize_threshold, scenario, wilson_interval)
+                           optimize_threshold, scenario,
+                           separating_threshold, wilson_interval)
 from ssro.model import Nuclear, PhysicalParams
 from ssro.protocol import build_dual_step_readout, build_standard_readout
 from ssro.trajectory import ShotModel, calibrated_shot_model, simulate_batch
@@ -498,6 +499,39 @@ class TestOptimizeThreshold:
     def test_rejects_unnormalized(self):
         with pytest.raises(AnalysisError):
             optimize_threshold(np.ones(5), np.ones(5) / 5)
+
+
+class TestSeparatingThreshold:
+    def test_is_the_scan_when_a_cutoff_separates(self, cal):
+        pmf_up = exact_count_pmf(cal, 250, Nuclear.UP)
+        pmf_dn = exact_count_pmf(cal, 250, Nuclear.DOWN)
+        assert separating_threshold(pmf_up, pmf_dn) == \
+            optimize_threshold(pmf_up, pmf_dn)
+
+    @pytest.mark.parametrize("lambda_dark", [0.032, 0.5])
+    def test_refuses_when_no_cutoff_beats_chance(self, cal, lambda_dark):
+        # the dark state as bright as, or brighter than, the bright one
+        model = dataclasses.replace(cal, lambda_dark=lambda_dark,
+                                    lambda_bright=0.032, flip_bd=0.02,
+                                    flip_db=0.01)
+        pmfs = [exact_count_pmf(model, 250, p)
+                for p in (Nuclear.UP, Nuclear.DOWN)]
+        assert optimize_threshold(*pmfs)[1] == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(AnalysisError, match="above chance"):
+            separating_threshold(*pmfs)
+
+    def test_refuses_identical_pmfs(self):
+        pmf = poisson.pmf(np.arange(40), 3.0)
+        pmf = pmf / pmf.sum()
+        with pytest.raises(AnalysisError, match="above chance"):
+            separating_threshold(pmf, pmf)
+
+    @pytest.mark.parametrize("readout_only", [True, False])
+    def test_scenario_refuses_a_dark_above_bright_model(self, cal, protocol,
+                                                        readout_only):
+        with pytest.raises(AnalysisError, match="above chance"):
+            scenario(cal, protocol, overrides={"lambda_dark": 0.5},
+                     readout_only=readout_only)
 
 
 class TestScenario:

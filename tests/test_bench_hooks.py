@@ -24,7 +24,7 @@ import ssro.protocol  # noqa: F401
 import ssro.rng  # noqa: F401
 from ssro.analysis import ClassifierConfig
 from ssro.model import Nuclear, PhysicalParams
-from ssro.protocol import build_standard_readout
+from ssro.protocol import build_dual_step_readout, build_standard_readout
 from ssro.trajectory import BatchResult, calibrated_shot_model
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -114,15 +114,20 @@ def test_layer_metrics_read_the_recorded_spans(spans):
     assert metrics["optics.propagate_s"] > 0
 
 
-def test_calibrate_analysis_layers_record_spans(spans, monkeypatch):
-    """A short calibrate path gives every analysis layer of the calibrate
-    workload a span."""
+@pytest.fixture
+def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH_DIR))   # workloads imports checks
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", BENCH_DIR / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calibrate_analysis_layers_record_spans(spans, workloads):
+    """A short calibrate path gives every analysis layer of the calibrate
+    workload a span."""
     layers = [name for name in workloads.Calibrate.layers
               if name.startswith("analysis.")]
     assert "analysis.exact_count_pmf_calls" in layers
@@ -140,6 +145,39 @@ def test_calibrate_analysis_layers_record_spans(spans, monkeypatch):
         an.optimize_threshold(an.exact_count_pmf(model, 40, Nuclear.UP),
                               an.exact_count_pmf(model, 40, Nuclear.DOWN))
         an.fit_shot_model(an.REFERENCE_TARGETS)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, [0])
+    assert [name for name in layers if not metrics[name] > 0] == []
+
+
+def test_mc_readout_layers_record_spans(spans, workloads):
+    """A short mc_readout path (standard and dual batches, the three
+    sampled reports and the flip fit) gives every layer of the mc_readout
+    workload a span: the read stage's uniforms, gaps and counts go through
+    rng.uniforms, rng.geometric_from_uniform and rng.poisson_from_uniform."""
+    layers = workloads.McReadout.layers
+    assert "rng.geometric_s" in layers
+
+    an = ssro.analysis
+    model = calibrated_shot_model()
+    params = PhysicalParams()
+    protocols = {"standard": build_standard_readout(params, cycles=60),
+                 "dual": build_dual_step_readout(params, cycles=60)}
+    tracer = spans.Tracer()
+    tracer.iteration = 0
+    tracer.install()
+    try:
+        batches = {(kind, prep): ssro.trajectory.simulate_batch(
+                       model, protocol, prep, 2000, master_seed=5)
+                   for kind, protocol in protocols.items()
+                   for prep in (Nuclear.UP, Nuclear.DOWN)}
+        for mode, kind in (("raw", "standard"), ("conditional", "standard"),
+                           ("dual_step", "dual")):
+            an.fidelity_report(batches[kind, Nuclear.UP],
+                               batches[kind, Nuclear.DOWN],
+                               ClassifierConfig(), mode)
+        an.fit_flip_rate(batches["standard", Nuclear.UP].detect1, 2000)
     finally:
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.spans, [0])

@@ -216,6 +216,18 @@ class TestSmallCommands:
         assert "single-read" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "scenario.json"))
 
+    @pytest.mark.parametrize("command", [
+        ["optimize-threshold"], ["scenario"],
+        ["scenario", "--override", "lambda_bright_scale=0.5"]])
+    def test_no_separating_cutoff_exits_3(self, tmp_path, capsys, monkeypatch,
+                                          command):
+        # a dark state brighter than the bright one: no cutoff beats chance
+        monkeypatch.setenv(ENV_PREFIX + "SHOT_MODEL__LAMBDA_DARK", "0.5")
+        out = str(tmp_path)
+        assert main([*command, "--out", out]) == 3
+        assert "above chance" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_fit_flip(self, tmp_path):
         # plumbing only: statistical recovery is covered by the analysis
         # tests and the acceptance suite at full scale

@@ -11,16 +11,20 @@ and the conditional rates from the head/tail table.  The package reads
 both from one head/tail table per preparation, the total as its
 anti-diagonal sums, so the two must agree to rounding and pick the same
 cutoff.  ``scenario``'s override handling is not copied: the reference
-takes the model, cycle count and window the package's report names.
+takes the model, cycle count and window the package's report names.  Where
+no cutoff beats chance (the always-flipping model), ``scenario`` refuses
+the model instead of reporting a cutoff picked by rounding noise.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ssro.analysis as analysis
-from ssro.analysis import (ClassifierConfig, _cycle_power, _from_state, _mix,
-                           _model_stats, _pad, _pmf_length, _poisson_kernel,
-                           exact_count_pmf, exact_head_tail_pmf,
-                           optimize_threshold, scenario)
+from ssro.analysis import (AnalysisError, ClassifierConfig, _cycle_power,
+                           _from_state, _mix, _model_stats, _pad, _pmf_length,
+                           _poisson_kernel, exact_count_pmf,
+                           exact_head_tail_pmf, optimize_threshold, scenario)
 from ssro.model import Nuclear, PhysicalParams
 from ssro.protocol import build_standard_readout
 from ssro.trajectory import ShotModel, calibrated_shot_model
@@ -113,12 +117,23 @@ def test_model_stats_equal_reference(name, cycles, conditional):
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("readout_only", [True, False])
 def test_scenario_equals_reference(protocol, name, cycles, readout_only):
+    model = MODELS[name]
+    if readout_only:
+        model = dataclasses.replace(model, nuclear_init_error=0.0,
+                                    charge_error=0.0)
+    window = ClassifierConfig().scaled_window(cycles)
+    best_n, best_fid, cond_fid = ref_scenario_fidelities(model, cycles,
+                                                         window)
+    if best_fid <= 0.5 + 1e-12:
+        with pytest.raises(AnalysisError, match="above chance"):
+            scenario(MODELS[name], protocol, {"cycles": cycles},
+                     readout_only=readout_only)
+        return
     rep = scenario(MODELS[name], protocol, {"cycles": cycles},
                    readout_only=readout_only)
     assert rep.cycles == cycles
-    assert rep.conditional_window == ClassifierConfig().scaled_window(cycles)
-    best_n, best_fid, cond_fid = ref_scenario_fidelities(
-        rep.model, cycles, rep.conditional_window)
+    assert rep.model == model
+    assert rep.conditional_window == window
     assert rep.best_cutoff == best_n
     assert rep.optimized_fidelity == pytest.approx(best_fid, rel=0, abs=TOL)
     assert rep.conditional_fidelity == pytest.approx(cond_fid, rel=0, abs=TOL)

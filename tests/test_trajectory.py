@@ -59,6 +59,14 @@ class TestShotModel:
     def test_fingerprint_tracks_fields(self):
         assert ShotModel().fingerprint() != ShotModel(flip_bd=1e-3).fingerprint()
 
+    def test_fingerprint_tracks_draw_layout(self, monkeypatch):
+        model = ShotModel()
+        micro = ShotModel(mode="microscopic")
+        before = model.fingerprint(), micro.fingerprint()
+        monkeypatch.setitem(trajectory._DRAW_LAYOUT, "effective", 1)
+        assert model.fingerprint() != before[0]
+        assert micro.fingerprint() == before[1]
+
 
 class TestPoissonLimit:
     def test_mean_is_cycles_times_rate(self, protocol):
@@ -177,28 +185,28 @@ class TestDeterminism:
 
 
 # Exact outputs of small fixed-seed batches: any change to the draw layout
-# of either mode shows here.
+# of either mode shows here.  The effective entries are of draw layout 2.
 GOLDEN = {
     "standard": dict(
-        total1=[1, 1, 0, 4, 4, 1, 3, 9, 10, 4, 5, 14, 8, 1, 3, 9, 11, 14, 12,
-                7, 14, 0, 16, 13],
-        head1=[0, 1, 0, 2, 3, 1, 1, 0, 4, 4, 3, 6, 2, 1, 2, 4, 4, 5, 3, 4, 4,
-               0, 2, 6],
-        detect1=[6, 2, 6, 10, 3, 0, 7, 5, 5, 10, 2, 2, 7, 4, 3, 4, 2, 6, 7, 3,
-                 3, 3, 5, 4, 4, 2, 2, 0, 5, 2, 1, 3, 3, 2, 1, 0, 4, 2, 1, 3]),
+        total1=[0, 0, 1, 1, 0, 0, 12, 11, 7, 4, 8, 13, 9, 2, 4, 11, 7, 7, 8, 5,
+                8, 0, 10, 7],
+        head1=[0, 0, 0, 1, 0, 0, 3, 3, 1, 4, 2, 2, 4, 1, 3, 5, 3, 3, 2, 1, 1,
+               0, 3, 0],
+        detect1=[2, 2, 5, 5, 5, 3, 5, 3, 5, 3, 4, 2, 2, 1, 5, 6, 2, 4, 0, 2, 6,
+                 3, 5, 2, 2, 2, 2, 5, 6, 3, 3, 1, 0, 3, 1, 1, 2, 0, 2, 2]),
     "dual": dict(
-        total1=[0, 0, 0, 0, 1, 2, 8, 0, 9, 10, 0, 2, 0, 10, 11, 0, 2, 1, 0, 1,
-                10, 6, 3, 1],
-        head1=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 6, 0, 0, 1, 0, 0, 4,
-               0, 0, 1],
-        detect1=[2, 1, 0, 1, 2, 2, 1, 3, 0, 0, 2, 2, 3, 1, 3, 3, 1, 1, 2, 3, 0,
-                 1, 1, 0, 1, 0, 3, 3, 1, 3, 1, 2, 2, 2, 1, 1, 2, 3, 3, 1],
-        total2=[0, 9, 6, 13, 8, 17, 7, 16, 7, 8, 8, 9, 2, 3, 5, 13, 10, 5, 8,
-                16, 2, 9, 6, 11],
-        head2=[0, 2, 1, 6, 2, 4, 4, 3, 2, 4, 1, 1, 0, 1, 0, 2, 1, 1, 1, 6, 0,
-               6, 1, 2],
-        detect2=[4, 1, 3, 4, 5, 6, 6, 4, 3, 6, 6, 7, 7, 2, 6, 0, 2, 6, 5, 7, 6,
-                 4, 2, 5, 5, 5, 4, 3, 2, 5, 3, 3, 3, 6, 3, 3, 6, 3, 5, 4]),
+        total1=[1, 0, 0, 0, 2, 0, 10, 0, 2, 3, 0, 0, 1, 8, 3, 1, 3, 2, 0, 1, 8,
+                6, 0, 1],
+        head1=[1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 2, 0, 1, 1, 0, 0, 4,
+               0, 0, 0],
+        detect1=[1, 1, 0, 1, 1, 1, 2, 0, 2, 2, 0, 0, 1, 2, 0, 1, 0, 2, 3, 3, 2,
+                 0, 0, 1, 0, 1, 2, 1, 0, 2, 0, 3, 2, 2, 0, 0, 1, 2, 1, 2],
+        total2=[0, 10, 13, 12, 9, 21, 4, 19, 6, 9, 10, 18, 1, 5, 6, 10, 8, 9,
+                19, 13, 3, 11, 10, 16],
+        head2=[0, 5, 2, 5, 4, 5, 4, 6, 1, 4, 2, 3, 0, 0, 0, 3, 1, 3, 7, 3, 0,
+               5, 2, 3],
+        detect2=[6, 4, 4, 7, 9, 6, 5, 5, 6, 5, 6, 5, 4, 5, 5, 4, 6, 5, 6, 4, 5,
+                 7, 5, 7, 2, 3, 4, 3, 8, 3, 3, 6, 4, 6, 4, 4, 5, 6, 5, 6]),
     "microscopic": dict(
         total1=[0, 0, 0, 0, 0, 2, 0, 0, 2, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 1,
                 0, 3, 2],
@@ -459,19 +467,6 @@ class TestRecordsAndSerialization:
         with pytest.raises(ValueError,
                            match=f"{damage}.jsonl: header field '{field}'"):
             BatchResult.load_jsonl(bad)
-
-
-def test_word_cut_is_the_uniform_cut():
-    """_read_counts tests z >= ceil(cut * 2**53) << 11 on the raw words in
-    place of to_unit(z) >= cut."""
-    seeds = rng.shot_seeds(3, np.arange(4096, dtype=np.uint64))
-    z = rng.bits(seeds[None, :], np.arange(16)[:, None]).ravel()
-    for cut in np.concatenate([np.exp(-np.array([0.028, 0.0016, 1.0, 1e-9])),
-                               rng.to_unit(z[:64]), [0.5 + 2.0 ** -54]]):
-        zcut = np.uint64(int(np.ceil(cut * 2.0 ** 53)) << 11)
-        near = np.concatenate([z, [zcut - np.uint64(1), zcut,
-                                   zcut + np.uint64(1)]])
-        np.testing.assert_array_equal(near >= zcut, rng.to_unit(near) >= cut)
 
 
 class TestMicroscopicMode:
