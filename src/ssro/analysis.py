@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 from scipy.optimize import least_squares, minimize_scalar
-from scipy.stats import chi2, poisson
+from scipy.stats import chi2
 
 from .model import Nuclear
 from .protocol import ProtocolSpec, build_standard_readout
@@ -81,11 +81,38 @@ def wilson_interval(successes: int, total: int, z: float = 1.0) -> tuple[float, 
     return max(0.0, center - half), min(1.0, center + half)
 
 
+_LOG_FACTORIAL = np.zeros(0)
+
+
+def _log_factorial(n: int) -> np.ndarray:
+    """ln k! for k = 0..n-1, from a table that grows by doubling."""
+    global _LOG_FACTORIAL
+    if len(_LOG_FACTORIAL) < n:
+        size = max(n, 2 * len(_LOG_FACTORIAL))
+        _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    return _LOG_FACTORIAL[:n]
+
+
+def _poisson_pmf(mean, n: int) -> np.ndarray:
+    """Poisson probabilities of 0..n-1 along a new last axis, one row per
+    mean, as exp(k ln mean - ln k! - mean); a mean of 0 puts all mass on 0."""
+    mean = np.asarray(mean, dtype=float)[..., None]
+    k = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_mean = np.where(k > 0, k * np.log(mean), 0.0)
+    return np.exp(k_log_mean - _log_factorial(n) - mean)
+
+
 def _poisson_kernel(lam: float, tail: float = 1e-14) -> np.ndarray:
+    """Poisson(lam) probabilities of 0..kmax, with kmax one past the first
+    k whose CDF, 1 - P(X > k) in doubles, reaches 1 - tail (at least 2)."""
     if lam <= 0:
         return np.array([1.0])
-    kmax = max(2, int(poisson.isf(tail, lam)) + 1)
-    return poisson.pmf(np.arange(kmax + 1), lam)
+    # the mass beyond lam + 15 sqrt(lam) + 40 is far below tail * 1e-16
+    pmf = _poisson_pmf(lam, int(lam + 15 * math.sqrt(lam)) + 40)
+    beyond = np.cumsum(pmf[:0:-1])[::-1]          # P(X > k), k = 0..n-2
+    kmax = max(2, int(np.argmax(1.0 - beyond >= 1.0 - tail)) + 1)
+    return pmf[:kmax + 1]
 
 
 def _pmf_length(model: ShotModel, cycles: int) -> int:
@@ -326,10 +353,10 @@ def exact_dual_pmf(model: ShotModel, cycles: int, prepared: Nuclear) -> np.ndarr
     m1 = _pmf_length(model, cycles)
     occupancy = _cycle_power(np.array([0.0, 1.0]), np.array([1.0]),
                              *model.flip_rates(dual=True), cycles, cycles + 1)
-    m = np.arange(cycles + 1)[:, None]
+    m = np.arange(cycles + 1)
     lb, ld = model.lambda_bright, model.lambda_dark
-    read1 = poisson.pmf(np.arange(m1), m * lb + (cycles - m) * ld)
-    read2 = poisson.pmf(np.arange(m1), m * ld + (cycles - m) * lb)
+    read1 = _poisson_pmf(m * lb + (cycles - m) * ld, m1)
+    read2 = _poisson_pmf(m * ld + (cycles - m) * lb, m1)
 
     def trajectory(start: int) -> np.ndarray:
         weights = _from_state(occupancy, start, cycles + 1)

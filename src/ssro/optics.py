@@ -150,15 +150,43 @@ def _start_vector(start) -> np.ndarray:
     return x0
 
 
+def _step_count(duration_us: float, step_us: float) -> int:
+    if step_us <= 0:
+        raise ValueError("step must be positive")
+    if duration_us < step_us:
+        raise ValueError("duration must be at least one step")
+    return int(round(duration_us / step_us))
+
+
+def _step_operator(model: OpticalModel, step_us: float) -> np.ndarray:
+    """S, one classical RK4 step of dx/dt = A x: for this linear system the
+    4th-order Taylor polynomial of exp(A h)."""
+    a = model.rate_matrix()
+    step_op = np.eye(5)
+    power = np.eye(5)
+    for order in (1, 2, 3, 4):
+        power = power @ (a * step_us)
+        step_op = step_op + power / math.factorial(order)
+    return step_op
+
+
+def _pumped_level(model: OpticalModel) -> str:
+    return "g12" if model.pump_a1 > model.pump_a2 else "g32"
+
+
+_DEFAULT_START = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+
+
 def propagate(model: OpticalModel, duration_us: float,
               step_us: float = DEFAULT_STEP_US,
               start=None) -> PumpCurve:
     """Integrate the rate equations with fixed-step classical RK4.
 
     For this linear system one RK4 step equals multiplication by the
-    4th-order Taylor polynomial S of exp(A h), which is precomputed once.
-    The n steps are applied as blocked powers rather than one by one: with
-    a block of B ~ sqrt(n) steps, S^0..S^(B-1) and the block starts
+    4th-order Taylor polynomial S of exp(A h), which is precomputed once;
+    :func:`fit_pump_rates` shares S through ``_step_operator``.  The n
+    steps are applied as blocked powers rather than one by one: with a
+    block of B ~ sqrt(n) steps, S^0..S^(B-1) and the block starts
     (S^B)^k x0 take about 2 sqrt(n) small products, and one einsum fills
     every row x_(kB+j) = S^j (S^B)^k x0 of the time grid.  Populations
     are checked to stay inside [0, 1] to 1e-6; a violation means the step
@@ -172,23 +200,12 @@ def propagate(model: OpticalModel, duration_us: float,
             RegisterState; defaults to everything in g32.
 
     Raises:
-        StepSizeError: if the integration leaves [0, 1] by more than 1e-6.
+        StepSizeError: if the integration leaves [0, 1] by more than 1e-6,
+            or diverges.
     """
-    if step_us <= 0:
-        raise ValueError("step must be positive")
-    if duration_us < step_us:
-        raise ValueError("duration must be at least one step")
-    x0 = _start_vector(start if start is not None else
-                       np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    pumped_level = "g12" if model.pump_a1 > model.pump_a2 else "g32"
-
-    a = model.rate_matrix()
-    n = int(round(duration_us / step_us))
-    step_op = np.eye(5)
-    power = np.eye(5)
-    for order in (1, 2, 3, 4):
-        power = power @ (a * step_us)
-        step_op = step_op + power / math.factorial(order)
+    n = _step_count(duration_us, step_us)
+    x0 = _start_vector(start if start is not None else _DEFAULT_START)
+    step_op = _step_operator(model, step_us)
 
     block = max(1, math.isqrt(n + 1))
     powers = np.empty((block, 5, 5))          # S^0 .. S^(block-1)
@@ -198,20 +215,47 @@ def propagate(model: OpticalModel, duration_us: float,
     jump = step_op @ powers[-1]               # S^block
     starts = np.empty((-(-(n + 1) // block), 5))
     starts[0] = x0
-    for k in range(1, len(starts)):
-        starts[k] = jump @ starts[k - 1]
-    xs = np.einsum("jab,kb->kja", powers, starts).reshape(-1, 5)[:n + 1]
-    if xs.min() < -1e-6 or xs.max() > 1.0 + 1e-6:
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for k in range(1, len(starts)):
+            starts[k] = jump @ starts[k - 1]
+        xs = np.einsum("jab,kb->kja", powers, starts).reshape(-1, 5)[:n + 1]
+    # written so that a diverged (NaN) population fails the check too
+    if not (xs.min() >= -1e-6 and xs.max() <= 1.0 + 1e-6):
         raise StepSizeError(
             f"populations left [0, 1] with step {step_us} us; "
             f"use a smaller step (fastest rate "
-            f"{np.abs(np.diag(a)).max():.1f}/us)")
+            f"{np.abs(np.diag(model.rate_matrix())).max():.1f}/us)")
 
     times = np.arange(n + 1) * step_us
     rate = model.collection_efficiency * (
         model.decay_a2 * xs[:, 3] + model.decay_a1 * xs[:, 2])
     return PumpCurve(times_us=times, populations=xs, detected_rate=rate,
-                     pumped_level=pumped_level)
+                     pumped_level=_pumped_level(model))
+
+
+def _pump_fidelities(model: OpticalModel, times_us: list[float],
+                     horizon_us: float) -> list[float]:
+    """``propagate(model, horizon_us).pump_fidelity(t)`` for each t, from
+    S^i x0 at each target's grid row i alone.
+
+    Each column of S sums to 1 because each column of A sums to 0.  When S
+    is also entrywise non-negative it maps populations to populations, so
+    every row of the curve stays inside [0, 1] and propagate's step check
+    cannot fire.  Otherwise the full curve is built, and checked.
+    """
+    n = _step_count(horizon_us, DEFAULT_STEP_US)
+    step_op = _step_operator(model, DEFAULT_STEP_US)
+    if step_op.min() < 0:
+        curve = propagate(model, horizon_us)
+        return [curve.pump_fidelity(t) for t in times_us]
+    grid = np.arange(n + 1) * DEFAULT_STEP_US
+    level = LEVELS.index(_pumped_level(model))
+    out = []
+    for t in times_us:
+        i = min(int(np.searchsorted(grid, t - 1e-12)), n)
+        x = np.linalg.matrix_power(step_op, i) @ _DEFAULT_START
+        out.append(float(1.0 - x[level]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,7 +277,16 @@ def fit_pump_rates(targets: list[PumpTarget] | PumpTarget,
     rates are tied together and the A1 pump is left off: only the A2-driven
     cycle is constrained by the targets.
 
+    The objective reads the curve of :func:`propagate` only at the target
+    times, so it computes just those rows, as powers S^i x0 of propagate's
+    step operator S, and never builds the whole curve.  The values equal
+    ``propagate(model, horizon).pump_fidelity(t)``, and its step check is
+    kept: when S has no negative entry the check cannot fire (every row is
+    a probability vector), and otherwise the full curve is built and
+    checked, raising StepSizeError as before.
+
     Raises:
+        StepSizeError: if a trial model is too fast for the default step.
         PumpFitError: if the violation cannot be driven to zero within
             ``max_iter`` iterations; carries the best residual seen.
     """
@@ -244,7 +297,8 @@ def fit_pump_rates(targets: list[PumpTarget] | PumpTarget,
         if t.min_fidelity >= 1.0:
             raise ValueError("pump fidelity target must be < 1")
     base = base or OpticalModel()
-    horizon = max(t.time_us for t in targets)
+    times = [t.time_us for t in targets]
+    horizon = max(times)
 
     def build(x):
         pump_a2, isc, m_g12, m_g32 = np.clip(x, 0.0, rate_bound)
@@ -253,9 +307,9 @@ def fit_pump_rates(targets: list[PumpTarget] | PumpTarget,
                        m_to_g12=m_g12, m_to_g32=m_g32)
 
     def violation(x):
-        curve = propagate(build(x), horizon)
-        return sum(max(0.0, t.min_fidelity - curve.pump_fidelity(t.time_us)) ** 2
-                   for t in targets)
+        reached = _pump_fidelities(build(x), times, horizon)
+        return sum(max(0.0, t.min_fidelity - f) ** 2
+                   for t, f in zip(targets, reached))
 
     x0 = np.array([10.0, 5.0, 30.0, 10.0])
     res = minimize(violation, x0, method="Nelder-Mead",

@@ -582,20 +582,28 @@ def simulate_shot(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
                   seed: int,
                   params: PhysicalParams | None = None,
                   optical: OpticalModel | None = None,
-                  head_window: int | None = None) -> ShotRecord:
+                  head_window: int | None = None,
+                  bright_window: tuple[float, float] | None = None
+                  ) -> ShotRecord:
     """Simulate one shot from its own stream seed.
 
     In effective mode this runs the batch sampler on a one-shot chunk, so
     ``simulate_shot(..., seed=batch.record(i).seed)`` reproduces record i
     bit for bit.  Microscopic mode consumes the same stream sequentially,
-    and simulate_batch calls this function once per shot.
+    and simulate_batch calls this function once per shot.  Its
+    ``bright_window`` is the (detected photons, pump-out probability) pair
+    of one laser window of ``optical``, as ``_bright_window`` computes it;
+    simulate_batch computes it once per batch, and a single shot computes
+    it when it is omitted.
     """
     head_window = _resolve_head_window(head_window, protocol.cycles)
     if model.mode == "microscopic":
+        if bright_window is None:
+            bright_window = _bright_window(optical or default_optical_model(),
+                                           protocol)
         return _simulate_shot_microscopic(model, protocol, prepared, seed,
                                           params or PhysicalParams(),
-                                          optical or default_optical_model(),
-                                          head_window)
+                                          bright_window, head_window)
     out = _simulate_chunk(model, protocol, prepared,
                           np.array([seed], dtype=np.uint64), head_window,
                           keep_cycles=True)
@@ -636,11 +644,15 @@ def simulate_batch(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
     Shots are partitioned into fixed-size chunks; each chunk is a pure
     function of the master seed and its shot indices, so results are
     identical for any worker count or scheduling order.  Microscopic chunks
-    call simulate_shot per shot; _merge joins the chunks of either mode.
+    call simulate_shot per shot, with the laser window propagated once for
+    the batch; _merge joins the chunks of either mode.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     head_window = _resolve_head_window(head_window, protocol.cycles)
+    if model.mode == "microscopic":
+        bright_window = _bright_window(optical or default_optical_model(),
+                                       protocol)
 
     def run(lo):
         hi = min(lo + _CHUNK, n_shots)
@@ -648,7 +660,8 @@ def simulate_batch(model: ShotModel, protocol: ProtocolSpec, prepared: Nuclear,
             records = [simulate_shot(model, protocol, prepared,
                                      rng.shot_seed(master_seed, i),
                                      params=params, optical=optical,
-                                     head_window=head_window)
+                                     head_window=head_window,
+                                     bright_window=bright_window)
                        for i in range(lo, hi)]
             return _record_columns(records, protocol.reads_per_cycle,
                                    head_window, keep_cycles)
@@ -729,13 +742,22 @@ class _Draws:
         return self.values[self.j - 1]
 
 
+def _bright_window(optical, protocol):
+    """(detected photons, pump-out probability) of one laser window of the
+    protocol on a bright electron, from one propagation of the optical
+    model: the photons are its expected_cycle_photons."""
+    curve = propagate(optical, protocol.laser_window_us)
+    return (curve.detected_photons(),
+            curve.pump_fidelity(protocol.laser_window_us))
+
+
 def _simulate_shot_microscopic(model, protocol, prepared, seed, params,
-                               optical, head_window):
+                               bright_window, head_window):
     """Track the electron through the pulses of the protocol's readout
     cycle; emission comes from optics.
 
-    The bright window rate is expected_cycle_photons of the optical model
-    and the window's pump-out probability comes from the same propagation;
+    The bright window rate and pump-out probability are the
+    ``bright_window`` pair of the optical model (``_bright_window``);
     lambda_dark remains the effective background bundle.  Each cycle takes
     a flip draw, a draw per MW pulse that addresses the register, and a
     count draw per read plus a pump-out draw after a bright one.  The
@@ -743,9 +765,7 @@ def _simulate_shot_microscopic(model, protocol, prepared, seed, params,
     counts of each rate come from one poisson_from_uniform call.
     """
     diagram = default_diagram()
-    curve = propagate(optical, protocol.laser_window_us)
-    lam_bright = curve.detected_photons()
-    pump_out = curve.pump_fidelity(protocol.laser_window_us)
+    lam_bright, pump_out = bright_window
     body = protocol.cycle_pulses
     most = 1 + sum(2 if p.read_slot else p.kind == "mw_pi" for p in body)
     stream = _Draws(seed, 2 + protocol.cycles * most)

@@ -151,6 +151,30 @@ def test_calibrate_analysis_layers_record_spans(spans, workloads):
     assert [name for name in layers if not metrics[name] > 0] == []
 
 
+def test_calibrate_optics_layers_record_spans(spans, workloads):
+    """The pump fit reads populations without calling propagate, so the
+    calibrate workload's optics layers rest on calibrate_collection's
+    propagate call; a short calibrate path gives each of them a span."""
+    layers = [name for name in workloads.Calibrate.layers
+              if name.startswith("optics.")]
+    assert {"optics.propagate_s", "optics.propagate_calls",
+            "optics.propagate_steps", "optics.fit_pump_rates_s"} <= set(layers)
+
+    op = ssro.optics
+    tracer = spans.Tracer()
+    tracer.iteration = 0
+    tracer.install()
+    try:
+        optical = op.fit_pump_rates(op.PumpTarget(time_us=1.5,
+                                                  min_fidelity=0.985))
+        op.calibrate_collection(optical, target_photons=0.028,
+                                laser_window_us=1.5)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, [0])
+    assert [name for name in layers if not metrics[name] > 0] == []
+
+
 def test_mc_readout_layers_record_spans(spans, workloads):
     """A short mc_readout path (standard and dual batches, the three
     sampled reports and the flip fit) gives every layer of the mc_readout

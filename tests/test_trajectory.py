@@ -7,6 +7,7 @@ import pytest
 from ssro import rng, trajectory
 from ssro.analysis import exact_count_pmf
 from ssro.model import Nuclear, PhysicalParams
+from ssro.optics import default_optical_model
 from ssro.protocol import build_dual_step_readout, build_standard_readout
 from ssro.trajectory import (BatchResult, ShotModel, ShotRecord,
                              calibrated_shot_model, cycle_detection_curve,
@@ -497,6 +498,37 @@ class TestMicroscopicMode:
         b = simulate_batch(model, short, Nuclear.UP, 50, master_seed=3,
                            params=params)
         np.testing.assert_array_equal(a.total1, b.total1)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_batch_propagates_the_laser_window_once(self, params,
+                                                    monkeypatch, n_workers):
+        calls = []
+        original = trajectory.propagate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trajectory, "propagate", counted)
+        short = build_dual_step_readout(params, cycles=20)
+        simulate_batch(ShotModel(mode="microscopic"), short, Nuclear.UP, 12,
+                       master_seed=8, n_workers=n_workers, params=params)
+        assert len(calls) == 1
+
+    def test_batch_records_replay_with_their_own_optics(self, params):
+        # a non-default optical model: the batch's shared laser window must
+        # be the one each shot would propagate for itself
+        optical = replace(default_optical_model(),
+                          collection_efficiency=0.5, pump_a2=40.0)
+        short = build_dual_step_readout(params, cycles=40)
+        model = ShotModel(mode="microscopic", lambda_dark=0.002)
+        batch = simulate_batch(model, short, Nuclear.DOWN, 12, master_seed=9,
+                               keep_cycles=True, params=params,
+                               optical=optical)
+        for i in range(batch.n_shots):
+            rec = batch.record(i)
+            assert simulate_shot(model, short, Nuclear.DOWN, rec.seed,
+                                 params=params, optical=optical) == rec
 
     def test_oracle_rejects_microscopic(self):
         from ssro.analysis import AnalysisError
